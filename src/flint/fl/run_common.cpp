@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "flint/rpc/leader.h"
 #include "flint/util/check.h"
 #include "flint/util/logging.h"
 
@@ -46,12 +47,16 @@ void validate_common_inputs(const RunInputs& inputs) {
   FLINT_CHECK_GT(inputs.threads, std::size_t{0});
 }
 
-RunTelemetryScope::RunTelemetryScope(const RunInputs& inputs) : telemetry_(inputs.telemetry) {
+RunTelemetryScope::RunTelemetryScope(const RunInputs& inputs)
+    : telemetry_(inputs.telemetry), rpc_leader_(inputs.rpc_leader) {
   if (telemetry_ != nullptr && obs::current() != telemetry_) scope_.emplace(telemetry_);
 }
 
 void RunTelemetryScope::finish(RunResult& result) {
   if (telemetry_ == nullptr) return;
+  // The snapshot must hold the executors' metrics up to this point, not up
+  // to their last periodic heartbeat.
+  if (rpc_leader_ != nullptr) rpc_leader_->collect_telemetry();
   telemetry_->snapshot_now();
   if (telemetry_->config().metrics_enabled)
     result.telemetry = telemetry_->metrics().snapshot();

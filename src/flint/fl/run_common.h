@@ -179,6 +179,7 @@ class RunTelemetryScope {
 
  private:
   obs::Telemetry* telemetry_;
+  rpc::Leader* rpc_leader_;
   std::optional<obs::ScopedTelemetry> scope_;
 };
 

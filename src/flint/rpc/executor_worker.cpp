@@ -120,6 +120,12 @@ void ExecutorWorker::run() {
         }
         break;
       }
+      case MessageType::kHeartbeat:
+        // The leader is collecting metrics (Leader::collect_telemetry):
+        // ship this executor's deltas now.
+        send_heartbeat();
+        last_beat_s = now_s();
+        break;
       case MessageType::kShutdown:
         return;
       default:

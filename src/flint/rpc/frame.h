@@ -36,7 +36,7 @@ inline constexpr std::size_t kFrameTrailerBytes = sizeof(std::uint32_t);
 enum class MessageType : std::uint16_t {
   kRegisterExecutor = 1,  ///< executor -> leader: join the pool
   kRegisterAck = 2,       ///< leader -> executor: id + run context (model blob)
-  kHeartbeat = 3,         ///< executor -> leader: liveness + load
+  kHeartbeat = 3,         ///< executor -> leader: liveness + load; leader -> executor: beat now
   kTaskLease = 4,         ///< leader -> executor: one client-training task
   kTaskResult = 5,        ///< executor -> leader: the computed update
   kShutdown = 6,          ///< leader -> executor: drain and exit

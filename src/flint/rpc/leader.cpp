@@ -36,6 +36,7 @@ struct Leader::ExecutorState {
   std::unique_ptr<Transport> transport;
   std::string name;
   double last_heartbeat_s = 0.0;
+  std::uint64_t heartbeats = 0;  ///< received so far
   bool alive = true;
   std::vector<std::uint64_t> outstanding;  ///< lease ids dispatched, unresolved
 };
@@ -184,6 +185,7 @@ void Leader::handle_frame(std::uint64_t executor_id, const Frame& frame) {
       HeartbeatMsg beat = HeartbeatMsg::deserialize(frame.payload);
       FLINT_CHECK_EQ(beat.executor_id, executor_id);
       executor.last_heartbeat_s = now_s();
+      ++executor.heartbeats;
       if (!beat.telemetry.empty()) {
         if (obs::Telemetry* t = obs::current();
             t != nullptr && t->config().metrics_enabled) {
@@ -273,9 +275,10 @@ void Leader::check_deadlines() {
   }
 }
 
-void Leader::pump(std::uint64_t focus, double block_s) {
+void Leader::pump(std::uint64_t awaited) {
   // Non-blocking drain of every live transport, so heartbeats and results
-  // from non-focused executors never back up.
+  // from every executor are handled, and socket outboxes flushed, on each
+  // pass, whichever lease is awaited.
   for (auto& [id, executor] : executors_) {
     if (!executor.alive) continue;
     for (;;) {
@@ -289,15 +292,18 @@ void Leader::pump(std::uint64_t focus, double block_s) {
       break;
     }
   }
-  // Then block briefly on the executor we are actually waiting for.
-  auto it = executors_.find(focus);
-  if (it != executors_.end() && it->second.alive) {
+  // Block for one slice only while the awaited lease is still outstanding,
+  // and only on the executor holding it: once the drain has resolved the
+  // lease, sleeping here would idle the leader with the result in hand.
+  const LeaseState& lease = leases_.at(awaited);
+  auto it = executors_.find(lease.executor);
+  if (!lease.completed && it != executors_.end() && it->second.alive) {
     Frame frame;
-    RecvStatus status = it->second.transport->recv(frame, block_s);
+    RecvStatus status = it->second.transport->recv(frame, kPumpSliceS);
     if (status == RecvStatus::kFrame)
-      handle_frame(focus, frame);
+      handle_frame(it->first, frame);
     else if (status == RecvStatus::kClosed)
-      lose_executor(focus, "connection closed");
+      lose_executor(it->first, "connection closed");
   }
   check_deadlines();
   // The pump is the leader's wall-clock-driven loop; a long lease wait must
@@ -308,14 +314,40 @@ void Leader::pump(std::uint64_t focus, double block_s) {
 TaskResultMsg Leader::wait(std::uint64_t lease_id) {
   auto it = leases_.find(lease_id);
   FLINT_CHECK_MSG(it != leases_.end(), "wait() on unknown lease " << lease_id);
-  while (!it->second.completed) {
-    pump(it->second.executor, kPumpSliceS);
-  }
+  while (!it->second.completed) pump(lease_id);
   TaskResultMsg result = std::move(it->second.result);
   leases_.erase(it);
   FLINT_CHECK_MSG(result.ok, "executor " << result.executor_id << " failed task "
                                          << result.task_id << ": " << result.error);
   return result;
+}
+
+void Leader::collect_telemetry() {
+  if (obs::Telemetry* t = obs::current(); t == nullptr || !t->config().metrics_enabled)
+    return;
+  Frame ask{MessageType::kHeartbeat, HeartbeatMsg{}.serialize()};
+  std::map<std::uint64_t, std::uint64_t> beats_before;
+  for (auto& [id, executor] : executors_) {
+    if (!executor.alive) continue;
+    if (executor.transport->send(ask))
+      beats_before[id] = executor.heartbeats;
+    else
+      lose_executor(id, "send failed");
+  }
+  double deadline = now_s() + config_.heartbeat_timeout_s;
+  for (const auto& [id, before] : beats_before) {
+    ExecutorState& executor = executors_.at(id);
+    while (executor.alive && executor.heartbeats == before) {
+      double remaining = deadline - now_s();
+      if (remaining <= 0.0) return;
+      Frame frame;
+      RecvStatus status = executor.transport->recv(frame, std::min(remaining, kPumpSliceS));
+      if (status == RecvStatus::kFrame)
+        handle_frame(id, frame);
+      else if (status == RecvStatus::kClosed)
+        lose_executor(id, "connection closed");
+    }
+  }
 }
 
 std::uint16_t Leader::listen_port() const {

@@ -65,6 +65,13 @@ class Leader {
   /// remote reported a failure or every executor died.
   TaskResultMsg wait(std::uint64_t lease_id);
 
+  /// Ask every live executor for a heartbeat now and wait (at most
+  /// heartbeat_timeout_s) until each has answered, so that its metric deltas
+  /// up to this point are merged (DESIGN.md §15.2). An executor handles
+  /// frames in order, so its answer also covers every lease sent before.
+  /// No-op unless ambient metrics are on.
+  void collect_telemetry();
+
   std::size_t alive_executors() const;
 
   /// Bound TCP port of the listener (0 when there is none / it is Unix).
@@ -79,9 +86,10 @@ class Leader {
   struct ExecutorState;
   struct LeaseState;
 
-  /// Drain every live transport without blocking; then, if `focus` is a live
-  /// executor, block on it for up to `block_s`.
-  void pump(std::uint64_t focus, double block_s);
+  /// Drain every live transport without blocking; then, only if lease
+  /// `awaited` is still outstanding, block for one slice on the executor
+  /// holding it. Runs deadline checks and the status tick on every call.
+  void pump(std::uint64_t awaited);
   void handle_frame(std::uint64_t executor_id, const Frame& frame);
   void check_deadlines();
   void lose_executor(std::uint64_t executor_id, const char* why);

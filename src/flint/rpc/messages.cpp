@@ -43,6 +43,8 @@ std::vector<T> read_vector(const std::vector<char>& in, std::size_t& offset,
                            std::uint64_t max_elems = kMaxVectorElems) {
   auto count = util::read_pod<std::uint64_t>(in, offset);
   FLINT_CHECK_LE(count, max_elems);
+  // The payload must hold `count` elements before any of them is allocated.
+  FLINT_CHECK_LE(count, static_cast<std::uint64_t>((in.size() - offset) / sizeof(T)));
   std::vector<T> v(static_cast<std::size_t>(count));
   util::read_pod_array(in, offset, v.data(), v.size());
   return v;

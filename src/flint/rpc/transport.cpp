@@ -26,6 +26,28 @@ double seconds_until(Clock::time_point deadline) {
   return std::chrono::duration<double>(deadline - Clock::now()).count();
 }
 
+/// Write what the socket accepts right now, from `data`, into `written`.
+/// Returns false if the peer is gone.
+bool write_available(int fd, const char* kind, const char* data, std::size_t size,
+                     std::size_t& written) {
+  written = 0;
+  while (written < size) {
+    // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not a process-killing
+    // SIGPIPE — the leader survives executor death by design. MSG_DONTWAIT:
+    // a full socket ends the write instead of blocking the caller.
+    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EPIPE || errno == ECONNRESET) return false;
+      FLINT_CHECK_MSG(false, "send() on " << kind << " transport failed: "
+                                          << std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 void set_cloexec(int fd) {
   int flags = ::fcntl(fd, F_GETFD);
   if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
@@ -128,22 +150,27 @@ SocketTransport::SocketTransport(int fd, const char* kind) : fd_(fd), kind_(kind
 SocketTransport::~SocketTransport() { close(); }
 
 bool SocketTransport::send(const Frame& frame) {
-  if (fd_ < 0) return false;
+  if (fd_ < 0 || !flush_outbox()) return false;
   std::vector<char> bytes = encode_frame(frame);
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not a process-killing
-    // SIGPIPE — the leader survives executor death by design.
-    ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) return false;
-      FLINT_CHECK_MSG(false, "send() on " << kind_ << " transport failed: "
-                                          << std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  std::size_t written = 0;
+  // A frame goes straight to the wire only behind an empty outbox; otherwise
+  // it queues whole, so frames leave in the order they were sent.
+  if (outbox_.empty() && !write_available(fd_, kind_, bytes.data(), bytes.size(), written))
+    return false;
+  outbox_.insert(outbox_.end(), bytes.begin() + static_cast<std::ptrdiff_t>(written),
+                 bytes.end());
   obs::add_counter("rpc.bytes_sent", bytes.size());
+  return true;
+}
+
+bool SocketTransport::flush_outbox() {
+  if (outbox_.empty()) return true;
+  std::size_t written = 0;
+  if (!write_available(fd_, kind_, outbox_.data(), outbox_.size(), written)) {
+    outbox_.clear();
+    return false;
+  }
+  outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<std::ptrdiff_t>(written));
   return true;
 }
 
@@ -162,7 +189,9 @@ RecvStatus SocketTransport::recv(Frame& out, double timeout_s) {
     if (remaining < 0.0) remaining = 0.0;
     struct pollfd pfd;
     pfd.fd = fd_;
-    pfd.events = POLLIN;
+    // Waiting to read is also the time to drain the outbox: the peer may be
+    // reading only because we are.
+    pfd.events = static_cast<short>(POLLIN | (outbox_.empty() ? 0 : POLLOUT));
     pfd.revents = 0;
     int timeout_ms = static_cast<int>(remaining * 1000.0);
     int ready = ::poll(&pfd, 1, timeout_ms);
@@ -172,9 +201,11 @@ RecvStatus SocketTransport::recv(Frame& out, double timeout_s) {
                                           << std::strerror(errno));
     }
     if (ready == 0) return RecvStatus::kTimeout;
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if ((pfd.revents & POLLOUT) != 0 && !flush_outbox()) return RecvStatus::kClosed;
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;  // writable only
+    ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
     if (n < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       if (errno == ECONNRESET) return RecvStatus::kClosed;
       FLINT_CHECK_MSG(false, "recv() on " << kind_ << " transport failed: "
                                           << std::strerror(errno));
@@ -191,6 +222,8 @@ RecvStatus SocketTransport::recv(Frame& out, double timeout_s) {
 
 void SocketTransport::close() {
   if (fd_ < 0) return;
+  flush_outbox();  // best effort: whatever the socket takes without blocking
+  outbox_.clear();
   ::shutdown(fd_, SHUT_RDWR);
   ::close(fd_);
   fd_ = -1;

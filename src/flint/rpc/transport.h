@@ -10,6 +10,10 @@
 //
 // Error model: send() returns false when the peer is gone (closed, EPIPE,
 // ECONNRESET) — the leader treats that executor as dead and re-dispatches.
+// send() never blocks: what the peer cannot take yet waits in order in the
+// sender's outbox (an in-memory queue for loopback, a per-socket buffer that
+// recv() flushes for sockets), so two peers that both send before they read
+// cannot wedge each other.
 // recv() returns kTimeout/kClosed for the benign cases and throws CheckError
 // for malformed bytes (bad magic, CRC mismatch, oversized length): a corrupt
 // peer is a protocol violation, not a recoverable condition.
@@ -22,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "flint/rpc/frame.h"
 #include "flint/util/thread_annotations.h"
@@ -77,6 +82,13 @@ class LoopbackTransport final : public Transport {
 };
 
 /// Stream-socket transport over a connected fd (AF_UNIX or AF_INET).
+///
+/// send() writes what the socket accepts right now (MSG_DONTWAIT) and queues
+/// the rest in an outbox; later frames go behind it, so frame order holds.
+/// recv() also polls for writability while the outbox is non-empty and
+/// flushes it as the socket drains; close() makes one last non-blocking
+/// flush. A peer found dead while flushing surfaces as send() == false or
+/// recv() == kClosed.
 class SocketTransport final : public Transport {
  public:
   /// Takes ownership of a connected stream socket.
@@ -89,9 +101,14 @@ class SocketTransport final : public Transport {
   const char* kind() const override { return kind_; }
 
  private:
+  /// Write as much of the outbox as the socket takes without blocking.
+  /// Returns false (and drops the outbox) if the peer is gone.
+  bool flush_outbox();
+
   int fd_;
   const char* kind_;
   FrameDecoder decoder_;
+  std::vector<char> outbox_;  ///< encoded bytes not yet accepted by the socket
 };
 
 /// Connect to a leader's Unix-domain socket at `path`. Throws CheckError if

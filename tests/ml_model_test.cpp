@@ -192,26 +192,31 @@ TEST(ConvTextModel, CloneIndependent) {
 
 // --- Zoo parameter counts: architecture fidelity against Table 5. ---
 
+// gtest names each case by the raw bytes of its parameter, so the padding after
+// `id` is spelled out and zeroed: implicit padding is indeterminate and would
+// give the cases a different name on every run.
 struct ZooExpectation {
   char id;
+  char padding[7];
   std::size_t params;
 };
+static_assert(sizeof(ZooExpectation) == 16);
 
 class ZooParamTest : public ::testing::TestWithParam<ZooExpectation> {};
 
 TEST_P(ZooParamTest, ParameterCountMatchesPaperScale) {
-  auto [id, expected] = GetParam();
+  const ZooExpectation& expectation = GetParam();
   util::Rng rng(9);
-  auto model = build_zoo_model(id, rng);
-  EXPECT_EQ(model->parameter_count(), expected);
+  auto model = build_zoo_model(expectation.id, rng);
+  EXPECT_EQ(model->parameter_count(), expectation.params);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table5, ZooParamTest,
-                         ::testing::Values(ZooExpectation{'A', 1497},     // paper: 1.51k
-                                           ZooExpectation{'B', 188827},   // paper: 189k
-                                           ZooExpectation{'C', 208121},   // paper: 208k
-                                           ZooExpectation{'D', 389969},   // paper: 390k
-                                           ZooExpectation{'E', 922018})); // paper: 922k
+                         ::testing::Values(ZooExpectation{'A', {}, 1497},     // paper: 1.51k
+                                           ZooExpectation{'B', {}, 188827},   // paper: 189k
+                                           ZooExpectation{'C', {}, 208121},   // paper: 208k
+                                           ZooExpectation{'D', {}, 389969},   // paper: 390k
+                                           ZooExpectation{'E', {}, 922018})); // paper: 922k
 
 TEST(ModelZoo, SpecLookup) {
   EXPECT_EQ(model_spec('A').description, "Tiny Neural Net");

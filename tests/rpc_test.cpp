@@ -143,6 +143,17 @@ TEST(FrameCorruption, TrailingMessageBytesRejected) {
   EXPECT_THROW(rpc::HeartbeatMsg::deserialize(payload), util::CheckError);
 }
 
+TEST(FrameCorruption, LeaseElementCountBeyondPayloadRejected) {
+  // A params count the payload cannot hold must be rejected before the
+  // 2^26-float (256 MB) vector it claims is allocated.
+  rpc::TaskLeaseMsg lease;
+  std::vector<char> payload = lease.serialize();
+  // With no params and no examples the payload ends in two u64 counts.
+  std::uint64_t claimed = std::uint64_t{1} << 26;
+  std::memcpy(payload.data() + payload.size() - 16, &claimed, sizeof(claimed));
+  EXPECT_THROW(rpc::TaskLeaseMsg::deserialize(payload), util::CheckError);
+}
+
 // ------------------------------------------------------------- messages
 
 TEST(Messages, RegisterRoundtrip) {
@@ -723,6 +734,107 @@ TEST(LeaderExecutor, LoopbackRunPropagatesSpans) {
         << " matches no dispatch span";
     EXPECT_TRUE(dispatch_trace_ids.count(e.trace_id));
   }
+}
+
+/// Scripted executor endpoint: registers, answers every lease the moment it
+/// is sent (so the answer is already there for the leader's non-blocking
+/// drain), and counts each later recv() that was allowed to block.
+class ScriptedTransport final : public rpc::Transport {
+ public:
+  bool send(const rpc::Frame& frame) override {
+    if (frame.type == rpc::MessageType::kRegisterAck) registered_ = true;
+    if (frame.type != rpc::MessageType::kTaskLease) return true;
+    rpc::TaskLeaseMsg lease = rpc::TaskLeaseMsg::deserialize(frame.payload);
+    rpc::TaskResultMsg result;
+    result.ok = true;
+    result.lease_id = lease.lease_id;
+    result.task_id = lease.task_id;
+    ready_.push_back(rpc::Frame{rpc::MessageType::kTaskResult, result.serialize()});
+    return true;
+  }
+
+  rpc::RecvStatus recv(rpc::Frame& out, double timeout_s) override {
+    if (!registered_) {
+      rpc::RegisterExecutorMsg reg;
+      reg.name = "scripted";
+      out = rpc::Frame{rpc::MessageType::kRegisterExecutor, reg.serialize()};
+      return rpc::RecvStatus::kFrame;
+    }
+    if (timeout_s > 0.0) ++blocking_recvs_;
+    if (ready_.empty()) return rpc::RecvStatus::kTimeout;
+    out = std::move(ready_.front());
+    ready_.erase(ready_.begin());
+    return rpc::RecvStatus::kFrame;
+  }
+
+  void close() override {}
+  const char* kind() const override { return "scripted"; }
+
+  int blocking_recvs() const { return blocking_recvs_; }
+
+ private:
+  bool registered_ = false;
+  std::vector<rpc::Frame> ready_;
+  int blocking_recvs_ = 0;
+};
+
+TEST(LeaderExecutor, WaitNeverBlocksOnceDrainResolvedTheLease) {
+  // The non-blocking drain delivers the awaited result, so wait() must
+  // return without a blocking recv. Counted, not timed.
+  rpc::Leader leader(rpc::LeaderConfig{});
+  auto owned = std::make_unique<ScriptedTransport>();
+  ScriptedTransport* scripted = owned.get();
+  leader.add_transport(std::move(owned));
+  std::uint64_t lease_id = leader.submit(stub_lease(/*task_id=*/501, /*client_id=*/1));
+  rpc::TaskResultMsg result = leader.wait(lease_id);
+  EXPECT_EQ(result.task_id, 501u);
+  EXPECT_EQ(scripted->blocking_recvs(), 0);
+}
+
+TEST(LeaderExecutor, BurstOfLargeLeasesOverUnixSocketCompletes) {
+  // Every lease is queued before the first wait(), and leases and results
+  // each overflow the socket buffers (~10 MB each way). If a send blocked,
+  // the leader would wait on executors that wait on it.
+  constexpr std::uint64_t kLeases = 150;
+  constexpr std::size_t kParams = 16384;  // 64 KiB of params, and of delta
+
+  // A wedge hangs here; ctest's TIMEOUT on rpc_test turns it into a failure.
+  // The pool outlives the leader: its destructor joins workers that exit
+  // only once the leader has shut down.
+  util::ThreadPool pool(2);
+  std::string path = testing::TempDir() + "rpc_test_burst.sock";
+  rpc::Leader leader(rpc::LeaderConfig{});
+  leader.add_listener(rpc::Listener::listen_unix(path));
+  std::vector<std::future<void>> workers;
+  for (int i = 0; i < 2; ++i) {
+    workers.push_back(pool.submit([path, i] {
+      std::unique_ptr<rpc::Transport> transport = rpc::connect_unix(path);
+      StubService service;
+      rpc::ExecutorWorker worker(*transport, service, "burst-" + std::to_string(i));
+      worker.run();
+    }));
+  }
+  leader.wait_for_executors(2);
+
+  std::vector<std::uint64_t> lease_ids;
+  for (std::uint64_t i = 0; i < kLeases; ++i) {
+    rpc::TaskLeaseMsg lease = stub_lease(/*task_id=*/1000 + i, /*client_id=*/i);
+    lease.params.resize(kParams);
+    for (std::size_t j = 0; j < kParams; ++j)
+      lease.params[j] = static_cast<float>(i) + static_cast<float>(j % 7);
+    lease_ids.push_back(leader.submit(std::move(lease)));
+  }
+  for (std::uint64_t i = 0; i < kLeases; ++i) {
+    rpc::TaskResultMsg result = leader.wait(lease_ids[i]);
+    EXPECT_EQ(result.task_id, 1000 + i);
+    EXPECT_DOUBLE_EQ(result.weight, static_cast<double>(i));
+    ASSERT_EQ(result.delta.size(), kParams);
+    for (std::size_t j = 0; j < kParams; ++j)
+      ASSERT_EQ(result.delta[j], 2.0f * (static_cast<float>(i) + static_cast<float>(j % 7)));
+  }
+
+  leader.shutdown("test done");
+  for (auto& worker : workers) worker.get();
 }
 
 TEST(LeaderExecutor, AllExecutorsDeadThrows) {
