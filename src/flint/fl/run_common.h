@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "flint/compress/quantize.h"
@@ -17,7 +16,6 @@
 #include "flint/obs/telemetry.h"
 #include "flint/privacy/dp.h"
 #include "flint/sim/leader.h"
-#include "flint/util/client_pool.h"
 
 namespace flint::rpc {
 class Leader;
@@ -158,131 +156,5 @@ struct RunResult {
     return virtual_duration_s > 0.0 ? metrics.updates_per_second(virtual_duration_s) : 0.0;
   }
 };
-
-/// |D_k| for a client under either data mode.
-std::size_t client_example_count(const RunInputs& inputs, std::uint64_t client_id);
-
-/// Validate the parts of the config every runner needs.
-void validate_common_inputs(const RunInputs& inputs);
-
-/// Shared runner-side telemetry plumbing: installs `inputs.telemetry` as the
-/// ambient context for the runner's scope (skipped when it already is, so an
-/// outer ScopedTelemetry keeps working). Call finish(result) just before
-/// returning to take the run's final snapshot — it must happen before the
-/// result is copied out, which is why it is not done in the destructor.
-class RunTelemetryScope {
- public:
-  explicit RunTelemetryScope(const RunInputs& inputs);
-  void finish(RunResult& result);
-  RunTelemetryScope(const RunTelemetryScope&) = delete;
-  RunTelemetryScope& operator=(const RunTelemetryScope&) = delete;
-
- private:
-  obs::Telemetry* telemetry_;
-  rpc::Leader* rpc_leader_;
-  std::optional<obs::ScopedTelemetry> scope_;
-};
-
-/// Availability cohort of a client: the fraction of the trace horizon its
-/// windows cover. `rare` < 5%, `regular` < 50%, `always-on` otherwise —
-/// the axis Figure 2's diurnal curve makes decision-relevant (a model that
-/// only ever trains on always-on devices is the bias §3.2 warns about).
-enum class AvailabilityCohort : std::uint32_t { kRare = 0, kRegular = 1, kAlwaysOn = 2 };
-
-/// Shared attribution plumbing: owns the run's ClientLedger, classifies every
-/// client in the availability trace by device tier (from the catalog) and
-/// availability cohort (window coverage), maps clients to executors, and
-/// attaches the ledger to the leader's SimMetrics so task completions are
-/// mirrored in. finish(result) folds the rollups into the result and detaches
-/// — call it before the result's metrics are copied out, alongside
-/// RunTelemetryScope::finish. No-op throughout when collect_ledger is false.
-class RunAttributionScope {
- public:
-  RunAttributionScope(const RunInputs& inputs, sim::Leader& leader);
-  void finish(RunResult& result);
-  RunAttributionScope(const RunAttributionScope&) = delete;
-  RunAttributionScope& operator=(const RunAttributionScope&) = delete;
-
-  /// Per-client accounts for checkpointing, sorted by client id (empty when
-  /// attribution is disabled).
-  std::vector<store::CheckpointClientAccount> accounts() const;
-
-  /// Restore checkpointed accounts into the ledger (resume path; no-op when
-  /// attribution is disabled). Classifications registered at construction
-  /// are kept — only the counters are overwritten.
-  void restore(const std::vector<store::CheckpointClientAccount>& accounts);
-
- private:
-  bool enabled_;
-  sim::Leader* leader_;
-  obs::ClientLedger ledger_;
-};
-
-// --- Checkpoint/resume plumbing shared by both runners (DESIGN.md §12) ---
-
-/// util::derive_stream() stream id reserved for the server-side Rng; task
-/// ids use their own id space, so this keeps the server stream disjoint from
-/// every per-task stream.
-inline constexpr std::uint64_t kServerRngStreamId = 0x5EB0E15EED5ull;
-
-/// Resolve RunInputs::resume_from into the checkpoint to restore, or nullopt
-/// for a fresh run (no store, or no usable checkpoint — logged). Throws
-/// CheckError when the newest valid checkpoint belongs to a different run
-/// (seed mismatch) or a different runner (`algo` mismatch): silently
-/// restarting a different run would corrupt the lineage.
-std::optional<store::SimCheckpoint> load_resume_state(const RunInputs& inputs,
-                                                      std::uint8_t algo);
-
-/// sim <-> store conversions for the checkpoint record.
-std::vector<store::CheckpointEvalPoint> checkpoint_eval_curve(
-    const std::vector<sim::EvalPoint>& curve);
-std::vector<sim::EvalPoint> restore_eval_curve(
-    const std::vector<store::CheckpointEvalPoint>& curve);
-std::vector<store::CheckpointRequeuedArrival> checkpoint_requeued(
-    const std::vector<sim::Arrival>& requeued);
-std::vector<sim::Arrival> restore_requeued(
-    const std::vector<store::CheckpointRequeuedArrival>& requeued);
-/// Pooled client -> last-participation-time map shared by both runners'
-/// cooldown gates. Interned keys plus a fixed-chunk value column (DESIGN.md
-/// §17): per-client cost is ~16 bytes with no hash-map node or load-factor
-/// overhead, growth never reallocates existing state, and the layout is a
-/// pure function of the record() sequence.
-class ParticipationPool {
- public:
-  /// Last recorded participation time for `client`, if any.
-  std::optional<double> last(std::uint64_t client) const {
-    auto slot = keys_.find(client);
-    if (!slot) return std::nullopt;
-    return times_[*slot];
-  }
-
-  /// Record (or overwrite) a client's participation time.
-  void record(std::uint64_t client, double when) {
-    std::uint32_t slot = keys_.intern(client);
-    if (slot == times_.size())
-      times_.push_back(when);
-    else
-      times_[slot] = when;
-  }
-
-  /// Distinct clients recorded.
-  std::size_t size() const { return keys_.size(); }
-
-  /// All entries sorted by client id (the order-independent checkpoint form).
-  std::vector<std::pair<std::uint64_t, double>> sorted_entries() const;
-
-  /// Load checkpointed entries (resume path).
-  void restore(const std::vector<std::pair<std::uint64_t, double>>& entries) {
-    for (const auto& [client, when] : entries) record(client, when);
-  }
-
- private:
-  util::KeyInterner keys_;
-  util::ChunkedColumn<double> times_;
-};
-
-/// Sorted by client id so the serialized form is order-independent.
-std::vector<std::pair<std::uint64_t, double>> checkpoint_participation(
-    const ParticipationPool& last_participation);
 
 }  // namespace flint::fl

@@ -107,8 +107,8 @@ class TrainerPool {
   /// Builds the runtime for one run: a thread pool when inputs.threads > 1
   /// (serial execution otherwise, pool() == nullptr) and trainer replicas
   /// when the run is model-full. The pool's gauges report to whatever
-  /// telemetry is ambient when the callbacks fire, so construct after
-  /// RunTelemetryScope.
+  /// telemetry is ambient when the callbacks fire, so construct after the
+  /// run's telemetry is installed (RunCore does).
   explicit TrainerPool(const RunInputs& inputs);
 
   /// The pool to fan work across, or nullptr for the serial path.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "flint/fl/fedavg.h"
 #include "test_helpers.h"
@@ -199,6 +200,53 @@ TEST(FedBuff, FasterThanFedAvgUnderHeavyTails) {
   ASSERT_EQ(async_r.rounds, sync_cfg.inputs.max_rounds);
   ASSERT_EQ(sync_r.rounds, sync_cfg.inputs.max_rounds);
   EXPECT_LT(async_r.virtual_duration_s, sync_r.virtual_duration_s);
+}
+
+/// Value of the named counter/gauge (histogram: sample count) in a run's
+/// telemetry snapshot; fails the test and returns -1 when it is missing.
+double series(const RunResult& r, const std::string& name) {
+  for (const auto& s : r.telemetry)
+    if (s.name == name)
+      return s.kind == obs::MetricSample::Kind::kHistogram ? static_cast<double>(s.count)
+                                                           : s.value;
+  ADD_FAILURE() << "no telemetry series " << name;
+  return -1.0;
+}
+
+TEST(RunnerTelemetry, BothRunnersEmitTheSameRoundAndDispatchSeries) {
+  // One set of runner series, whatever the scheduling policy: rounds and
+  // dispatched tasks are counted by the shared run core, so the counters
+  // reconcile with the result for FedAvg and FedBuff alike. Over-commitment
+  // (FedAvg) and tasks still in flight at the last aggregation (FedBuff)
+  // make stragglers, so dispatched != aggregated.
+  auto catalog = device::DeviceCatalog::standard();
+  net::FixedBandwidthModel bw(10.0);
+  std::vector<std::uint32_t> counts(80, 25);
+  for (bool fedbuff : {false, true}) {
+    SCOPED_TRACE(fedbuff ? "fedbuff" : "fedavg");
+    auto trace = test::always_available(80, 1e7);
+    obs::TelemetryConfig telemetry_config;
+    telemetry_config.tracing_enabled = false;
+    obs::Telemetry telemetry(telemetry_config);
+    AsyncConfig async_cfg = model_free_config(trace, catalog, bw, counts);
+    async_cfg.inputs.telemetry = &telemetry;
+    async_cfg.max_concurrency = 16;
+    RunResult r;
+    if (fedbuff) {
+      r = run_fedbuff(async_cfg);
+    } else {
+      SyncConfig sync_cfg;
+      sync_cfg.inputs = async_cfg.inputs;
+      sync_cfg.cohort_size = 4;
+      r = run_fedavg(sync_cfg);
+    }
+    ASSERT_GT(r.rounds, 0u);
+    ASSERT_GT(r.metrics.tasks_started(), r.metrics.tasks_succeeded());
+    EXPECT_EQ(series(r, "fl.rounds"), static_cast<double>(r.rounds));
+    EXPECT_EQ(series(r, "fl.round"), static_cast<double>(r.rounds));
+    EXPECT_EQ(series(r, "fl.round_duration_s"), static_cast<double>(r.rounds));
+    EXPECT_EQ(series(r, "fl.tasks_dispatched"), static_cast<double>(r.metrics.tasks_started()));
+  }
 }
 
 TEST(FedBuff, ValidationRejectsBadConfig) {

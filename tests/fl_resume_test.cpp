@@ -36,6 +36,9 @@ struct Options {
   bool dp = false;
   bool compression = false;
   bool interruption_prone_trace = false;
+  /// Feed the run a fresh device::TraceWindowStream over the trace instead
+  /// of the materialized trace (the leader's streaming arrival path).
+  bool streamed = false;
 };
 
 /// Half the clients always-on, half flickering through windows shorter than
@@ -72,6 +75,11 @@ class Harness {
     SyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     apply_options(cfg.inputs, o, store, resume_from);
+    device::TraceWindowStream stream(trace);
+    if (o.streamed) {
+      cfg.inputs.trace = nullptr;
+      cfg.inputs.window_stream = &stream;
+    }
     cfg.cohort_size = 8;
     return run_fedavg(cfg);
   }
@@ -87,6 +95,11 @@ class Harness {
     AsyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     apply_options(cfg.inputs, o, store, resume_from);
+    device::TraceWindowStream stream(trace);
+    if (o.streamed) {
+      cfg.inputs.trace = nullptr;
+      cfg.inputs.window_stream = &stream;
+    }
     cfg.buffer_size = 4;
     cfg.max_concurrency = 12;
     cfg.max_staleness = 50;
@@ -176,6 +189,26 @@ TEST(CrashResume, FedBuffResumeAtCadenceBoundaryBitIdentical) {
 TEST(CrashResume, FedBuffResumeAtNonBoundaryRoundBitIdentical) {
   check_resume(/*fedbuff=*/true, {}, /*crash_rounds=*/3, /*full_rounds=*/5,
                /*expected_resume_round=*/2, "fedbuff-nonboundary");
+}
+
+TEST(CrashResume, FedAvgResumeOnWindowStreamBitIdentical) {
+  // The streaming leader restores its arrival cursor by replaying a fresh
+  // stream forward, at a cadence round and at a non-cadence round.
+  Options o;
+  o.streamed = true;
+  check_resume(/*fedbuff=*/false, o, /*crash_rounds=*/2, /*full_rounds=*/4,
+               /*expected_resume_round=*/2, "fedavg-stream-boundary");
+  check_resume(/*fedbuff=*/false, o, /*crash_rounds=*/3, /*full_rounds=*/4,
+               /*expected_resume_round=*/2, "fedavg-stream-nonboundary");
+}
+
+TEST(CrashResume, FedBuffResumeOnWindowStreamBitIdentical) {
+  Options o;
+  o.streamed = true;
+  check_resume(/*fedbuff=*/true, o, /*crash_rounds=*/2, /*full_rounds=*/5,
+               /*expected_resume_round=*/2, "fedbuff-stream-boundary");
+  check_resume(/*fedbuff=*/true, o, /*crash_rounds=*/3, /*full_rounds=*/5,
+               /*expected_resume_round=*/2, "fedbuff-stream-nonboundary");
 }
 
 TEST(CrashResume, FedBuffResumeWithInterruptedInFlightTasks) {

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "flint/util/check.h"
-#include "flint/util/config.h"
 #include "flint/util/csv.h"
 #include "flint/util/histogram.h"
 #include "flint/util/logging.h"
@@ -120,49 +119,6 @@ TEST(Csv, ParsesCrlf) {
   auto cells = parse_csv_line("a,b\r");
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[1], "b");
-}
-
-// ------------------------------------------------------------------- Config
-
-TEST(Config, ParseAndTypedAccess) {
-  Config cfg = Config::parse(R"(
-    # a comment
-    cohort_size = 130
-    lr = 0.05
-    async = true
-    name = ads-v2
-  )");
-  EXPECT_EQ(cfg.get_int("cohort_size", 0), 130);
-  EXPECT_DOUBLE_EQ(cfg.get_double("lr", 0.0), 0.05);
-  EXPECT_TRUE(cfg.get_bool("async", false));
-  EXPECT_EQ(cfg.get_string("name", ""), "ads-v2");
-  EXPECT_EQ(cfg.get_int("missing", 7), 7);
-}
-
-TEST(Config, RequireThrowsOnMissing) {
-  Config cfg;
-  EXPECT_THROW(cfg.require_string("nope"), CheckError);
-}
-
-TEST(Config, RoundTripsThroughToString) {
-  Config cfg;
-  cfg.set_int("a", 5);
-  cfg.set_bool("b", false);
-  cfg.set_double("c", 1.25);
-  Config again = Config::parse(cfg.to_string());
-  EXPECT_EQ(again.get_int("a", 0), 5);
-  EXPECT_FALSE(again.get_bool("b", true));
-  EXPECT_DOUBLE_EQ(again.get_double("c", 0.0), 1.25);
-}
-
-TEST(Config, BadLinesThrow) {
-  EXPECT_THROW(Config::parse("no_equals_here"), CheckError);
-  EXPECT_THROW(Config::parse("= value"), CheckError);
-}
-
-TEST(Config, BadBoolThrows) {
-  Config cfg = Config::parse("flag = maybe");
-  EXPECT_THROW(cfg.get_bool("flag", false), CheckError);
 }
 
 // -------------------------------------------------------------------- Check
