@@ -6,9 +6,14 @@
 // the flint::ml::kernels table that emits per-kernel GB/s and GFLOP/s artifact
 // leaves plus `speedup_vs_scalar` (active SIMD path vs. the honest-scalar
 // reference), which is what the CI smoke-bench diff gates the ≥2× win on.
+// A second hand-timed sweep measures util::Rng against std::mt19937_64:
+// `rng.derive_speedup_vs_std` (a derived stream plus 4 draws) and
+// `rng.draw_ratio_vs_std` (per-draw cost of a long stream), both gated by
+// tools/check_kernel_speedup.py.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <random>
 
 #include "bench_helpers.h"
 #include "flint/data/proxy_generator.h"
@@ -345,6 +350,76 @@ void run_kernel_sweep(flint::bench::BenchArtifact& artifact) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Hand-timed RNG sweep: the cost of a derived stream that draws a few values
+// (what every simulated task and trace client pays) and the per-draw cost of
+// a long stream, each against std::mt19937_64 in the same binary.
+
+constexpr int kDerivedStreams = 1000;  // streams per timed call
+constexpr int kDrawsPerStream = 4;
+constexpr int kLongStreamDraws = 10'000'000;
+
+/// The seed derive_stream(seed, stream) keys its engine with (substream 0).
+std::uint64_t derived_key(std::uint64_t seed, std::uint64_t stream) {
+  return util::splitmix64(util::splitmix64(util::splitmix64(seed) ^ stream));
+}
+
+void run_rng_sweep(flint::bench::BenchArtifact& artifact) {
+  std::uint64_t next_stream = 0;
+  double flint_s = time_best_s(
+      [&] {
+        std::uint64_t acc = 0;
+        for (int i = 0; i < kDerivedStreams; ++i) {
+          util::Rng rng = util::derive_stream(7, next_stream++);
+          for (int d = 0; d < kDrawsPerStream; ++d) acc += rng.next_u64();
+        }
+        benchmark::DoNotOptimize(acc);
+      },
+      20);
+  double std_s = time_best_s(
+      [&] {
+        std::uint64_t acc = 0;
+        for (int i = 0; i < kDerivedStreams; ++i) {
+          // flint-lint: allow(rng): the reference engine the derivation floor is measured against
+          std::mt19937_64 engine(derived_key(7, next_stream++));
+          for (int d = 0; d < kDrawsPerStream; ++d) acc += engine();
+        }
+        benchmark::DoNotOptimize(acc);
+      },
+      20);
+  double derive_ns = flint_s / kDerivedStreams * 1e9;
+  double std_derive_ns = std_s / kDerivedStreams * 1e9;
+
+  double flint_draw_s = time_best_s(
+      [] {
+        util::Rng rng(1);
+        std::uint64_t acc = 0;
+        for (int i = 0; i < kLongStreamDraws; ++i) acc += rng.next_u64();
+        benchmark::DoNotOptimize(acc);
+      },
+      1, 3);
+  double std_draw_s = time_best_s(
+      [] {
+        std::mt19937_64 engine(1);  // flint-lint: allow(rng): long-stream reference engine
+        std::uint64_t acc = 0;
+        for (int i = 0; i < kLongStreamDraws; ++i) acc += engine();
+        benchmark::DoNotOptimize(acc);
+      },
+      1, 3);
+
+  double derive_speedup = std_derive_ns / derive_ns;
+  double draw_ratio = std_draw_s / flint_draw_s;
+  std::printf("\nutil::Rng sweep (reference: std::mt19937_64)\n");
+  std::printf("  derive_stream + %d draws %8.1f ns   std %8.1f ns   %6.2fx\n", kDrawsPerStream,
+              derive_ns, std_derive_ns, derive_speedup);
+  std::printf("  long stream, per draw    %8.2f ns   std %8.2f ns   ratio %.2f\n",
+              flint_draw_s / kLongStreamDraws * 1e9, std_draw_s / kLongStreamDraws * 1e9,
+              draw_ratio);
+  artifact.add_scalar("rng.derive_ns", derive_ns);
+  artifact.add_scalar("rng.derive_speedup_vs_std", derive_speedup);
+  artifact.add_scalar("rng.draw_ratio_vs_std", draw_ratio);
+}
+
 }  // namespace
 
 // Hand-rolled BENCHMARK_MAIN so the binary also emits a run artifact: the
@@ -368,5 +443,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_kernel_sweep(artifact);
+  run_rng_sweep(artifact);
   return 0;
 }

@@ -91,7 +91,8 @@ ml::Example make_ads_example(const GroundTruth& gt, const ClientContext& ctx,
 }
 
 ml::Example make_messaging_example(const GroundTruth& gt, const ClientContext& ctx,
-                                   const SyntheticTaskConfig& cfg, util::Rng& rng) {
+                                   const SyntheticTaskConfig& cfg,
+                                   const util::ZipfTable& token_ranks, util::Rng& rng) {
   // Tokens follow a client-tilted Zipf over the vocabulary; the label is a
   // noisy function of the mean token weight (abusive-token signal).
   ml::Example e;
@@ -100,7 +101,7 @@ ml::Example make_messaging_example(const GroundTruth& gt, const ClientContext& c
   e.tokens.reserve(len);
   double logit_sum = 0.0;
   for (std::size_t t = 0; t < len; ++t) {
-    std::size_t rank = rng.zipf(cfg.vocab, 1.1);
+    std::size_t rank = token_ranks.sample(rng);
     // Client tilt: shift the rank by a client-specific offset so different
     // clients favour different token regions (vocabulary heterogeneity).
     auto offset = static_cast<std::size_t>(
@@ -152,7 +153,8 @@ std::size_t shift_dim(const SyntheticTaskConfig& cfg) {
 }
 
 std::vector<ml::Example> make_client_examples(const GroundTruth& gt, const ClientContext& ctx,
-                                              const SyntheticTaskConfig& cfg, std::size_t count,
+                                              const SyntheticTaskConfig& cfg,
+                                              const util::ZipfTable& token_ranks, std::size_t count,
                                               std::int32_t group_base, util::Rng& rng) {
   std::vector<ml::Example> out;
   out.reserve(count);
@@ -162,7 +164,7 @@ std::vector<ml::Example> make_client_examples(const GroundTruth& gt, const Clien
       break;
     case Domain::kMessaging:
       for (std::size_t i = 0; i < count; ++i)
-        out.push_back(make_messaging_example(gt, ctx, cfg, rng));
+        out.push_back(make_messaging_example(gt, ctx, cfg, token_ranks, rng));
       break;
     case Domain::kSearch: {
       std::size_t groups = std::max<std::size_t>(1, count / cfg.candidates_per_group);
@@ -334,11 +336,14 @@ FederatedTask make_synthetic_task(const SyntheticTaskConfig& config, util::Rng& 
   qp.std_records = config.std_records;
   qp.max_records = config.max_records;
   std::vector<std::uint32_t> counts = sample_quantity_profile(qp, rng);
+  // Messaging token ranks: Zipf(1.1) over the vocabulary (one rank for the
+  // other domains, which draw no tokens).
+  const util::ZipfTable token_ranks(config.domain == Domain::kMessaging ? config.vocab : 1, 1.1);
 
   std::int32_t group_base = 0;
   for (std::size_t k = 0; k < config.clients; ++k) {
     ClientContext ctx = make_client_context(gt, config.heterogeneity, shift_dim(config), rng);
-    auto examples = make_client_examples(gt, ctx, config, counts[k], group_base, rng);
+    auto examples = make_client_examples(gt, ctx, config, token_ranks, counts[k], group_base, rng);
     group_base += static_cast<std::int32_t>(examples.size());
     task.train.add_client({static_cast<ClientId>(k), std::move(examples)});
   }
@@ -349,7 +354,7 @@ FederatedTask make_synthetic_task(const SyntheticTaskConfig& config, util::Rng& 
   while (made < config.test_examples) {
     ClientContext ctx = make_client_context(gt, config.heterogeneity, shift_dim(config), rng);
     std::size_t want = std::min<std::size_t>(config.test_examples - made, 40);
-    auto examples = make_client_examples(gt, ctx, config, want, group_base, rng);
+    auto examples = make_client_examples(gt, ctx, config, token_ranks, want, group_base, rng);
     group_base += static_cast<std::int32_t>(examples.size());
     made += examples.size();
     task.test.insert(task.test.end(), std::make_move_iterator(examples.begin()),

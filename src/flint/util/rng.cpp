@@ -1,9 +1,136 @@
 #include "flint/util/rng.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstring>
+#include <limits>
+#include <random>
 
 namespace flint::util {
+
+namespace {
+
+// mt19937_64 parameters (C++ [rand.predef]).
+constexpr std::uint32_t kHalf = 156;  // m: the twist's far-word offset, n / 2
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+/// One twist step: the new value of a word from its old value, the old value
+/// of the next word and the word m away (old or already new, as the
+/// standard's in-order loop sees it).
+inline std::uint64_t twisted(std::uint64_t word, std::uint64_t next, std::uint64_t far) {
+  std::uint64_t y = (word & kUpperMask) | (next & kLowerMask);
+  return far ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+}
+
+/// The standard in-order twist loop, restricted to words [from, to).
+void twist_range(std::uint64_t* x, std::uint32_t from, std::uint32_t to) {
+  constexpr std::uint32_t n = Mt19937_64::kWords;
+  std::uint32_t k = from;
+  for (const std::uint32_t end = std::min(to, kHalf); k < end; ++k)
+    x[k] = twisted(x[k], x[k + 1], x[k + kHalf]);
+  for (const std::uint32_t end = std::min(to, n - 1); k < end; ++k)
+    x[k] = twisted(x[k], x[k + 1], x[k - kHalf]);
+  if (k < to) x[n - 1] = twisted(x[n - 1], x[0], x[n - 1 - kHalf]);
+}
+
+/// The standard seeding recurrence for words [from, to); needs word from - 1.
+void seed_range(std::uint64_t* x, std::uint32_t from, std::uint32_t to) {
+  for (std::uint32_t i = from; i < to; ++i)
+    x[i] = kInitMultiplier * (x[i - 1] ^ (x[i - 1] >> 62)) + i;
+}
+
+}  // namespace
+
+Mt19937_64& Mt19937_64::operator=(const Mt19937_64& other) noexcept {
+  if (this == &other) return *this;
+  std::memcpy(x_, other.x_, other.seeded_ * sizeof(x_[0]));
+  pos_ = other.pos_;
+  ready_ = other.ready_;
+  seeded_ = other.seeded_;
+  return *this;
+}
+
+void Mt19937_64::refill() {
+  if (ready_ == kWords) {
+    // A drained block (or a restored state at position 312): batch twist.
+    twist_range(x_, 0, kWords);
+    pos_ = 0;
+    ready_ = kWords;
+  } else if (pos_ < kHalf) {
+    // Lazy first block: word pos_ twists from old words pos_, pos_ + 1 and
+    // pos_ + 156, so seed just far enough and twist just that word.
+    seed_range(x_, seeded_, pos_ + kHalf + 1);
+    seeded_ = pos_ + kHalf + 1;
+    x_[pos_] = twisted(x_[pos_], x_[pos_ + 1], x_[pos_ + kHalf]);
+    ready_ = pos_ + 1;
+  } else {
+    // Draw 156: finish the seeding, then the rest of the first block.
+    seed_range(x_, seeded_, kWords);
+    seeded_ = kWords;
+    twist_range(x_, kHalf, kWords);
+    ready_ = kWords;
+  }
+}
+
+std::string Mt19937_64::state_text() const {
+  // The state std::mt19937_64 holds after the same draws: the seeding words
+  // at position 312 before the first draw, the first block fully twisted
+  // after it. A lazy state completes both on a copy.
+  std::uint64_t x[kWords];
+  std::memcpy(x, x_, seeded_ * sizeof(x[0]));
+  std::uint32_t pos = pos_;
+  if (ready_ < kWords) {
+    seed_range(x, seeded_, kWords);
+    if (pos == 0)
+      pos = kWords;
+    else
+      twist_range(x, pos, kWords);
+  }
+  std::string out;
+  out.reserve(kWords * 21 + 4);
+  char buf[24];
+  for (std::uint32_t i = 0; i <= kWords; ++i) {
+    if (i > 0) out.push_back(' ');
+    std::uint64_t v = i < kWords ? x[i] : pos;
+    char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    out.append(buf, end);
+  }
+  return out;
+}
+
+void Mt19937_64::set_state_text(const std::string& text) {
+  auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v';
+  };
+  std::uint64_t words[kWords + 1];
+  std::uint32_t count = 0;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (;;) {
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) break;
+    FLINT_CHECK_MSG(count <= kWords, "invalid mt19937_64 state: more than "
+                                         << kWords + 1 << " numbers");
+    auto [next, ec] = std::from_chars(p, end, words[count]);
+    FLINT_CHECK_MSG(ec == std::errc() && (next == end || is_space(*next)),
+                    "invalid mt19937_64 state: number " << count
+                                                        << " is not an unsigned 64-bit decimal");
+    p = next;
+    ++count;
+  }
+  FLINT_CHECK_MSG(count == kWords + 1, "invalid mt19937_64 state: " << count << " numbers, want "
+                                                                    << kWords + 1);
+  FLINT_CHECK_MSG(words[kWords] <= kWords,
+                  "invalid mt19937_64 state: position " << words[kWords] << " above " << kWords);
+  std::memcpy(x_, words, sizeof(x_));
+  pos_ = static_cast<std::uint32_t>(words[kWords]);
+  ready_ = kWords;
+  seeded_ = kWords;
+}
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   FLINT_CHECK_MSG(lo <= hi, "uniform_int bounds inverted: " << lo << " > " << hi);
@@ -62,13 +189,13 @@ namespace {
 /// bits). mt19937_64's output sequence is fully specified by the standard, so
 /// samplers built on this helper draw identically on every implementation —
 /// unlike std::*_distribution, whose algorithms are implementation-defined.
-double canonical_u01(std::mt19937_64& engine) {
+double canonical_u01(Mt19937_64& engine) {
   return static_cast<double>(engine() >> 11) * 0x1.0p-53;
 }
 
 /// Inversion by sequential search (Devroye): one uniform, multiplicative
 /// pmf recurrence. Exact and fast for small means.
-std::int64_t poisson_inversion(std::mt19937_64& engine, double mean) {
+std::int64_t poisson_inversion(Mt19937_64& engine, double mean) {
   double u = canonical_u01(engine);
   double p = std::exp(-mean);
   double cum = p;
@@ -86,7 +213,7 @@ std::int64_t poisson_inversion(std::mt19937_64& engine, double mean) {
 
 /// Hormann's PTRS transformed-rejection sampler for large means. Uses only
 /// canonical_u01 draws plus libm, so the draw *sequence* is portable.
-std::int64_t poisson_ptrs(std::mt19937_64& engine, double mean) {
+std::int64_t poisson_ptrs(Mt19937_64& engine, double mean) {
   const double b = 0.931 + 2.53 * std::sqrt(mean);
   const double a = -0.059 + 0.02483 * b;
   const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
@@ -123,27 +250,7 @@ std::int64_t Rng::poisson(double mean) {
   return poisson_ptrs(engine_, mean);
 }
 
-std::size_t Rng::zipf(std::size_t n, double s) {
-  FLINT_CHECK_GT(n, std::size_t{0});
-  FLINT_CHECK_FINITE(s);
-  if (n == 1) return 0;
-  // Near-zero exponents make every 1/i^s weight ~1; short-circuit to the
-  // exact uniform draw instead of accumulating n pow() round-off errors.
-  if (std::abs(s) < 1e-12)
-    return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  // Inverse-CDF over the harmonic weights. O(n) per draw is fine for the
-  // catalog sizes FLINT uses (device models, vocab buckets); callers that
-  // need bulk Zipf draws should precompute a categorical table instead.
-  double h = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) h += 1.0 / std::pow(static_cast<double>(i), s);
-  double u = uniform(0.0, h);
-  double acc = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (u <= acc) return i - 1;
-  }
-  return n - 1;
-}
+std::size_t Rng::zipf(std::size_t n, double s) { return ZipfTable(n, s).sample(*this); }
 
 std::vector<double> Rng::dirichlet(std::size_t k, double alpha) {
   return dirichlet(std::vector<double>(k, alpha));
@@ -186,52 +293,32 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
-  FLINT_CHECK_MSG(k <= n, "cannot sample " << k << " from " << n);
-  // Floyd's algorithm: O(k) expected insertions.
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  std::vector<bool> chosen;  // used only for small n to keep memory bounded
-  if (n <= 1'000'000) {
-    chosen.assign(n, false);
-    for (std::size_t j = n - k; j < n; ++j) {
-      std::size_t t = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(j)));
-      if (chosen[t]) t = j;
-      chosen[t] = true;
-      out.push_back(t);
-    }
-  } else {
-    // For very large n, use a hash-set-free variant: sort-and-dedup of
-    // uniform draws with resampling. Collisions are rare when k << n.
-    while (out.size() < k) {
-      std::size_t t = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      bool dup = false;
-      for (std::size_t v : out) {
-        if (v == t) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) out.push_back(t);
-    }
+ZipfTable::ZipfTable(std::size_t n, double s) : n_(n) {
+  FLINT_CHECK_GT(n, std::size_t{0});
+  FLINT_CHECK_FINITE(s);
+  // Near-zero exponents make every 1/i^s weight ~1; sample() draws the exact
+  // uniform instead of accumulating n pow() round-off errors.
+  if (n == 1 || std::abs(s) < 1e-12) return;
+  // Inverse CDF over the harmonic weights, summed in rank order.
+  cumulative_.resize(n);
+  double acc = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    cumulative_[i - 1] = acc;
   }
-  return out;
 }
 
-Rng Rng::fork() { return Rng(splitmix64(engine_())); }
-
-std::string Rng::serialize_state() const {
-  std::ostringstream os;
-  os << engine_;
-  return os.str();
-}
-
-void Rng::deserialize_state(const std::string& state) {
-  std::istringstream is(state);
-  std::mt19937_64 restored;
-  is >> restored;
-  FLINT_CHECK_MSG(!is.fail(), "invalid mt19937_64 state string (" << state.size() << " bytes)");
-  engine_ = restored;
+std::size_t ZipfTable::sample(Rng& rng) const {
+  if (n_ == 1) return 0;
+  if (cumulative_.empty())
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n_) - 1));
+  double u = rng.uniform(0.0, cumulative_.back());
+  // First rank whose cumulative weight reaches u (the weights are
+  // non-negative, so the sums are sorted); the last rank if rounding put u
+  // above them all.
+  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
+  if (it == cumulative_.end()) return n_ - 1;
+  return static_cast<std::size_t>(it - cumulative_.begin());
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {

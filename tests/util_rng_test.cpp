@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <random>
+#include <sstream>
 
 #include "flint/util/stats.h"
 
@@ -202,29 +203,6 @@ TEST(Rng, CategoricalRejectsZeroTotal) {
   EXPECT_THROW(rng.categorical(w), CheckError);
 }
 
-class SampleWithoutReplacementTest : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(SampleWithoutReplacementTest, DistinctAndInRange) {
-  auto [n, k] = GetParam();
-  Rng rng(47);
-  auto sample = rng.sample_without_replacement(static_cast<std::size_t>(n),
-                                               static_cast<std::size_t>(k));
-  EXPECT_EQ(sample.size(), static_cast<std::size_t>(k));
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), static_cast<std::size_t>(k));
-  for (std::size_t v : sample) EXPECT_LT(v, static_cast<std::size_t>(n));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SampleWithoutReplacementTest,
-                         ::testing::Values(std::pair{1, 1}, std::pair{10, 10}, std::pair{10, 3},
-                                           std::pair{1000, 50}, std::pair{5000, 1},
-                                           std::pair{100, 99}));
-
-TEST(Rng, SampleWithoutReplacementTooManyThrows) {
-  Rng rng(51);
-  EXPECT_THROW(rng.sample_without_replacement(3, 4), CheckError);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(53);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -232,16 +210,6 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
-}
-
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(59);
-  Rng child = parent.fork();
-  // Child stream shouldn't mirror the parent.
-  int same = 0;
-  for (int i = 0; i < 50; ++i)
-    if (parent.next_u64() == child.next_u64()) ++same;
-  EXPECT_LT(same, 2);
 }
 
 TEST(Rng, SerializeStateRoundTrip) {
@@ -257,6 +225,137 @@ TEST(Rng, DeserializeGarbageStateThrows) {
   Rng r(1);
   EXPECT_THROW(r.deserialize_state("not a valid engine state"), CheckError);
   EXPECT_THROW(r.deserialize_state(""), CheckError);
+}
+
+// --- Engine equivalence: std::mt19937_64 is the reference oracle. ---------
+
+std::vector<std::uint64_t> equivalence_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; seeds.size() < 64; ++i) seeds.push_back(splitmix64(i));
+  return seeds;
+}
+
+std::string std_state_text(const std::mt19937_64& engine) {
+  std::ostringstream os;
+  os << engine;
+  return os.str();
+}
+
+TEST(RngEngine, FirstThousandDrawsMatchStdForSixtyFourSeeds) {
+  // 1,000 draws cross three 312-word blocks: the lazy first block, its batch
+  // completion at draw 156, and two standard batch twists.
+  for (std::uint64_t seed : equivalence_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(rng.next_u64(), ref()) << "seed " << seed << " draw " << i;
+  }
+}
+
+TEST(RngEngine, StateTextEqualsStdAtBlockBoundaries) {
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{991}, ~std::uint64_t{0}}) {
+    for (int draws : {0, 1, 155, 156, 157, 311, 312, 313, 1000}) {
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < draws; ++i) {
+        rng.next_u64();
+        ref();
+      }
+      ASSERT_EQ(rng.serialize_state(), std_state_text(ref))
+          << "seed " << seed << " draws " << draws;
+    }
+  }
+}
+
+TEST(RngEngine, RestoresStdStateWrittenMidBlock) {
+  std::mt19937_64 ref(4242);
+  for (int i = 0; i < 200; ++i) ref();
+  Rng rng(1);  // seed irrelevant: the state overlays it
+  rng.deserialize_state(std_state_text(ref));
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(rng.next_u64(), ref()) << "draw " << i;
+}
+
+TEST(RngEngine, CopyMidLazyStateContinuesIdentically) {
+  for (int draws : {0, 3, 155}) {
+    Rng a(77);
+    for (int i = 0; i < draws; ++i) a.next_u64();
+    Rng b = a;
+    Rng c(5);
+    c = a;
+    std::mt19937_64 ref(77);
+    for (int i = 0; i < draws; ++i) ref();
+    for (int i = 0; i < 400; ++i) {
+      std::uint64_t want = ref();
+      ASSERT_EQ(a.next_u64(), want) << "draws " << draws << " +" << i;
+      ASSERT_EQ(b.next_u64(), want) << "draws " << draws << " +" << i;
+      ASSERT_EQ(c.next_u64(), want) << "draws " << draws << " +" << i;
+    }
+  }
+}
+
+TEST(RngEngine, HostileStateStringsThrow) {
+  Rng r(1);
+  const std::string good = r.serialize_state();
+  std::string hundred_words;
+  for (int i = 0; i < 100; ++i) hundred_words += "12345 ";
+  std::string non_numeric = good;
+  non_numeric.replace(0, non_numeric.find(' '), "12x45");
+  const std::string words = good.substr(0, good.rfind(' ') + 1);
+  std::string extra_word = good + " 7";
+  for (const std::string& bad :
+       {std::string(), hundred_words, non_numeric, words + "313", words + "-1", extra_word,
+        words + "18446744073709551616"}) {
+    EXPECT_THROW(r.deserialize_state(bad), CheckError) << bad.substr(0, 40);
+  }
+  // The rejected strings left the stream untouched.
+  Rng fresh(1);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(r.next_u64(), fresh.next_u64());
+  // The accepted edges: positions 0 and 312.
+  EXPECT_NO_THROW(r.deserialize_state(words + "0"));
+  EXPECT_NO_THROW(r.deserialize_state(words + "312"));
+}
+
+TEST(RngEngine, SizeStaysNearStd) {
+  EXPECT_LE(sizeof(Rng), sizeof(std::mt19937_64) + 32);
+}
+
+// --- Zipf: the table sampler against the linear inverse-CDF scan. ---------
+
+/// The O(n)-per-draw sampler ZipfTable replaced, kept as the oracle.
+std::size_t zipf_linear_scan(Rng& rng, std::size_t n, double s) {
+  if (n == 1) return 0;
+  if (std::abs(s) < 1e-12)
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  double h = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) h += 1.0 / std::pow(static_cast<double>(i), s);
+  double u = rng.uniform(0.0, h);
+  double acc = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    if (u <= acc) return i - 1;
+  }
+  return n - 1;
+}
+
+TEST(ZipfTable, MatchesLinearScanDrawForDraw) {
+  for (std::size_t n : {1, 2, 10, 500}) {
+    for (double s : {0.0, 1e-13, 0.5, 1.1, 3.0}) {
+      ZipfTable table(n, s);
+      Rng a(101), b(101), c(101);
+      for (int i = 0; i < 10000; ++i) {
+        std::size_t want = zipf_linear_scan(a, n, s);
+        ASSERT_EQ(table.sample(b), want) << "n " << n << " s " << s << " draw " << i;
+        if (i < 200) {
+          ASSERT_EQ(c.zipf(n, s), want) << "n " << n << " s " << s << " draw " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ZipfTable, RejectsEmptyRangeAndNonFiniteExponent) {
+  EXPECT_THROW(ZipfTable(0, 1.0), CheckError);
+  EXPECT_THROW(ZipfTable(10, std::nan("")), CheckError);
 }
 
 TEST(Splitmix, AvalanchesOnAdjacentInputs) {

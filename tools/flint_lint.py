@@ -72,7 +72,8 @@ SUPPRESS_RE = re.compile(r"//\s*flint-lint:\s*allow\(([a-z-]+)\)")
 RNG_FORBIDDEN = [
     (re.compile(r"\bstd::rand\b|\bsrand\s*\("), "std::rand/srand is unseeded global state"),
     (re.compile(r"\bstd::random_device\b"), "std::random_device breaks run reproducibility"),
-    (re.compile(r"\bstd::mt19937(_64)?\b"), "raw engines bypass util::Rng seeding/forking"),
+    (re.compile(r"\bstd::mt19937(_64)?\b"),
+     "raw engines bypass util::Rng seeding and derive_stream"),
 ]
 
 THROW_RE = re.compile(r"\bthrow\b(?!\s*;)")
