@@ -6,6 +6,8 @@
 // the flint::ml::kernels table that emits per-kernel GB/s and GFLOP/s artifact
 // leaves plus `speedup_vs_scalar` (active SIMD path vs. the honest-scalar
 // reference), which is what the CI smoke-bench diff gates the ≥2× win on.
+// The sweep covers the ads MLP's own tile shapes with post-ReLU-like inputs
+// too, and one whole LocalTrainer pass (`kernels.local_sgd_mlp`).
 // A second hand-timed sweep measures util::Rng against std::mt19937_64:
 // `rng.derive_speedup_vs_std` (a derived stream plus 4 draws) and
 // `rng.draw_ratio_vs_std` (per-draw cost of a long stream), both gated by
@@ -208,6 +210,7 @@ struct KernelCase {
 constexpr std::size_t kVec = 4096;            // 16 KB of floats: L1-resident
 constexpr std::size_t kMat = 64;              // 64x64 matmul operands
 constexpr std::size_t kRows = 16, kDim = 64;  // gather/scatter shape
+constexpr std::size_t kTile = 32;             // model-shaped tiles fit 32x32
 
 // Shared scratch for the kernel cases. Static so the case table can use
 // plain function pointers; (re)initialized by run_kernel_sweep.
@@ -217,6 +220,7 @@ struct Scratch {
   std::vector<float> a, b, out;
   std::vector<float> table, rows;
   std::vector<std::int32_t> tokens;
+  std::vector<float> tile_a, tile_b, tile_out;  ///< model-shaped tiles, a half zeros
 };
 Scratch& scratch() {
   static Scratch s;
@@ -242,6 +246,34 @@ void reset_scratch() {
   fill(s.rows, kRows * kDim);
   s.tokens.resize(kRows);
   for (auto& t : s.tokens) t = static_cast<std::int32_t>(rng.uniform_int(0, 1023));
+  // Post-ReLU activations: about half exact zeros at random positions.
+  fill(s.tile_a, kTile * kTile);
+  for (float& f : s.tile_a)
+    if (rng.bernoulli(0.5)) f = 0.0f;
+  fill(s.tile_b, kTile * kTile);
+  s.tile_out.assign(kTile * kTile, 0.0f);
+}
+
+enum class Tile { kMatmul, kTransposedMatmul, kMatmulTransposed };
+
+/// A tile case: the kernel on [m,k] x [k,n]-shaped operands (a half zeros).
+template <Tile T, std::size_t M, std::size_t K, std::size_t N>
+void run_tile(const ml::kernels::KernelTable& k) {
+  auto& s = scratch();
+  if constexpr (T == Tile::kMatmul) {
+    std::fill_n(s.tile_out.begin(), M * N, 0.0f);
+    k.matmul(s.tile_a.data(), s.tile_b.data(), s.tile_out.data(), M, K, N);
+  } else if constexpr (T == Tile::kTransposedMatmul) {
+    std::fill_n(s.tile_out.begin(), M * N, 0.0f);
+    k.transposed_matmul(s.tile_a.data(), s.tile_b.data(), s.tile_out.data(), K, M, N);
+  } else {
+    k.matmul_transposed(s.tile_a.data(), s.tile_b.data(), s.tile_out.data(), M, K, N);
+  }
+}
+
+template <Tile T, std::size_t M, std::size_t K, std::size_t N>
+constexpr KernelCase tile_case(const char* name) {
+  return {name, 4.0 * (M * K + K * N + 2 * M * N), 2.0 * M * K * N, 20000, run_tile<T, M, K, N>};
 }
 
 const KernelCase kKernelCases[] = {
@@ -319,6 +351,19 @@ const KernelCase kKernelCases[] = {
          k.scatter_add_rows(s.table.data(), kDim, s.tokens.data(), kRows, 1024,
                             s.rows.data() + r * kDim, 0.0625f);
      }},
+    // The ads MLP's dominant tiles at batch 16 (16 -> 32 -> 16 -> 1):
+    // forward of layers 1 and 2, layer 2's dW, and layer 2's dX.
+    tile_case<Tile::kMatmul, 16, 16, 32>("matmul_16x16x32"),
+    tile_case<Tile::kMatmul, 16, 32, 16>("matmul_16x32x16"),
+    tile_case<Tile::kTransposedMatmul, 32, 16, 16>("transposed_matmul_k16_32x16"),
+    tile_case<Tile::kMatmulTransposed, 16, 16, 32>("matmul_transposed_16x16x32"),
+};
+
+// The head's tiles (n == 1 forward, k == 1 dX): reported as ns only. A
+// single output column leaves SIMD nothing to win, so no speedup floor.
+const KernelCase kNsOnlyCases[] = {
+    tile_case<Tile::kMatmul, 16, 16, 1>("matmul_16x16x1"),
+    tile_case<Tile::kMatmulTransposed, 16, 1, 16>("matmul_transposed_16x1x16"),
 };
 
 void run_kernel_sweep(flint::bench::BenchArtifact& artifact) {
@@ -348,6 +393,51 @@ void run_kernel_sweep(flint::bench::BenchArtifact& artifact) {
     artifact.add_scalar(prefix + ".gflops", gflops);
     artifact.add_scalar(prefix + ".speedup_vs_scalar", speedup);
   }
+  for (const KernelCase& c : kNsOnlyCases) {
+    reset_scratch();
+    c.run(active_table);
+    double ns = time_best_s([&] { c.run(active_table); }, c.reps) * 1e9;
+    std::printf("  %-22s %10.1f ns\n", c.name, ns);
+    artifact.add_scalar(std::string("kernels.") + c.name + ".ns", ns);
+  }
+}
+
+// One LocalTrainer pass (the ads MLP, 16 -> 32 -> 16 -> 1, batch 16, 3
+// epochs over 256 examples) on the active path against the scalar path:
+// local SGD end to end, where the layers' overhead counts as well as the
+// kernels'. set_path switches the process-wide table, which is safe here
+// because the sweep runs single-threaded after google-benchmark is done.
+void run_local_sgd_sweep(flint::bench::BenchArtifact& artifact) {
+  util::Rng rng(12);
+  ml::FeedForwardConfig mcfg;
+  mcfg.dense_dim = 16;
+  mcfg.hidden = {32, 16};
+  auto model = std::make_unique<ml::FeedForwardModel>(mcfg);
+  model->init(rng);
+  const std::vector<float> params = model->get_flat_parameters();
+  fl::LocalTrainer trainer(std::move(model), 16);
+  std::vector<ml::Example> data(256);
+  for (auto& e : data) {
+    e.dense.resize(16);
+    for (float& v : e.dense) v = static_cast<float>(rng.normal());
+    e.label = rng.bernoulli(0.3) ? 1.0f : 0.0f;
+  }
+  fl::LocalTrainConfig cfg;
+  cfg.epochs = 3;
+  auto pass = [&] { benchmark::DoNotOptimize(trainer.train(data, params, cfg).delta); };
+  const std::string spec = ml::kernels::requested_spec();
+  pass();
+  double active_s = time_best_s(pass, 20);
+  ml::kernels::set_path("scalar");
+  pass();
+  double scalar_s = time_best_s(pass, 20);
+  ml::kernels::set_path(spec);
+  double examples = static_cast<double>(data.size()) * cfg.epochs;
+  double speedup = scalar_s / active_s;
+  std::printf("  %-22s %10.3f us/example %8.2fx\n", "local_sgd_mlp", active_s * 1e6 / examples,
+              speedup);
+  artifact.add_scalar("kernels.local_sgd_mlp.us_per_example", active_s * 1e6 / examples);
+  artifact.add_scalar("kernels.local_sgd_mlp.speedup_vs_scalar", speedup);
 }
 
 // ---------------------------------------------------------------------------
@@ -443,6 +533,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_kernel_sweep(artifact);
+  run_local_sgd_sweep(artifact);
   run_rng_sweep(artifact);
   return 0;
 }

@@ -14,7 +14,17 @@ LocalTrainer::LocalTrainer(std::unique_ptr<ml::Model> model, std::size_t dense_d
   FLINT_CHECK(model_ != nullptr);
 }
 
+void LocalTrainer::step(const std::vector<ml::Parameter*>& params, const ml::Tensor& d_logits,
+                        const LocalTrainConfig& config, ml::SgdOptimizer& opt) {
+  for (ml::Parameter* p : params) p->grad.zero();
+  model_->backward(d_logits);
+  if (config.clip_norm > 0.0) ml::clip_gradients(params, config.clip_norm);
+  if (config.prox_mu > 0.0) add_proximal_gradient(params, config.prox_mu);
+  opt.step(params, config.lr);
+}
+
 double LocalTrainer::train_classification(std::span<const ml::Example> data,
+                                          const std::vector<ml::Parameter*>& params,
                                           const LocalTrainConfig& config,
                                           ml::SgdOptimizer& opt) {
   double total_loss = 0.0;
@@ -27,11 +37,7 @@ double LocalTrainer::train_classification(std::span<const ml::Example> data,
       ml::LossResult loss = model_->heads() == 1
                                 ? ml::bce_with_logits(logits, batch.labels)
                                 : ml::multitask_bce(logits, {batch.labels, batch.labels2});
-      model_->zero_grad();
-      model_->backward(loss.d_logits);
-      if (config.clip_norm > 0.0) ml::clip_gradients(model_->parameters(), config.clip_norm);
-      if (config.prox_mu > 0.0) add_proximal_gradient(config.prox_mu);
-      opt.step(model_->parameters(), config.lr);
+      step(params, loss.d_logits, config, opt);
       total_loss += loss.loss;
       ++steps;
     }
@@ -40,6 +46,7 @@ double LocalTrainer::train_classification(std::span<const ml::Example> data,
 }
 
 double LocalTrainer::train_ranking(std::span<const ml::Example> data,
+                                   const std::vector<ml::Parameter*>& params,
                                    const LocalTrainConfig& config, ml::SgdOptimizer& opt) {
   // Group candidates by ranking group; each group is one SGD step. One
   // stable sort of indices + one flat gather into a reused scratch buffer
@@ -75,11 +82,7 @@ double LocalTrainer::train_ranking(std::span<const ml::Example> data,
       ml::Batch batch = ml::Batch::from_examples(members, dense_dim_);
       ml::Tensor logits = model_->forward(batch);
       ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch.labels);
-      model_->zero_grad();
-      model_->backward(loss.d_logits);
-      if (config.clip_norm > 0.0) ml::clip_gradients(model_->parameters(), config.clip_norm);
-      if (config.prox_mu > 0.0) add_proximal_gradient(config.prox_mu);
-      opt.step(model_->parameters(), config.lr);
+      step(params, loss.d_logits, config, opt);
       total_loss += loss.loss;
       ++steps;
     }
@@ -87,9 +90,9 @@ double LocalTrainer::train_ranking(std::span<const ml::Example> data,
   return steps == 0 ? 0.0 : total_loss / static_cast<double>(steps);
 }
 
-void LocalTrainer::add_proximal_gradient(double mu) {
+void LocalTrainer::add_proximal_gradient(const std::vector<ml::Parameter*>& params, double mu) {
   std::size_t offset = 0;
-  for (ml::Parameter* p : model_->parameters()) {
+  for (ml::Parameter* p : params) {
     auto value = p->value.flat();
     auto grad = p->grad.flat();
     for (std::size_t i = 0; i < value.size(); ++i)
@@ -110,10 +113,11 @@ LocalTrainResult LocalTrainer::train(std::span<const ml::Example> data,
   model_->set_flat_parameters(global_params);
   if (config.prox_mu > 0.0) prox_anchor_.assign(global_params.begin(), global_params.end());
   ml::SgdOptimizer opt(config.momentum, 0.0);
+  const std::vector<ml::Parameter*> params = model_->parameters();
 
   double mean_loss = (config.loss == data::LossKind::kPairwiseRanking)
-                         ? train_ranking(data, config, opt)
-                         : train_classification(data, config, opt);
+                         ? train_ranking(data, params, config, opt)
+                         : train_classification(data, params, config, opt);
 
   LocalTrainResult result;
   result.mean_loss = mean_loss;

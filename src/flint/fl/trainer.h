@@ -49,12 +49,19 @@ class LocalTrainer {
   ml::Model& model() { return *model_; }
 
  private:
-  double train_classification(std::span<const ml::Example> data, const LocalTrainConfig& config,
-                              ml::SgdOptimizer& opt);
-  double train_ranking(std::span<const ml::Example> data, const LocalTrainConfig& config,
+  // `params` is model_->parameters(), fetched once per train() call.
+  double train_classification(std::span<const ml::Example> data,
+                              const std::vector<ml::Parameter*>& params,
+                              const LocalTrainConfig& config, ml::SgdOptimizer& opt);
+  double train_ranking(std::span<const ml::Example> data,
+                       const std::vector<ml::Parameter*>& params, const LocalTrainConfig& config,
                        ml::SgdOptimizer& opt);
+  /// One SGD step after a forward(): zero the gradients, backprop d_logits,
+  /// clip, add the proximal term, update.
+  void step(const std::vector<ml::Parameter*>& params, const ml::Tensor& d_logits,
+            const LocalTrainConfig& config, ml::SgdOptimizer& opt);
   /// Add mu*(w - w_anchor) to the accumulated gradients (FedProx).
-  void add_proximal_gradient(double mu);
+  void add_proximal_gradient(const std::vector<ml::Parameter*>& params, double mu);
 
   std::unique_ptr<ml::Model> model_;
   std::size_t dense_dim_;

@@ -70,13 +70,19 @@ struct KernelTable {
 
   // --- matmul family ------------------------------------------------------
   /// out[m,n] += a[m,k] * b[k,n], ikj order; rank-1 updates with a == 0 are
-  /// skipped (preserves signed zeros exactly as the scalar loop does).
-  /// Bit-identical across paths: per output element the k-accumulation order
-  /// is unchanged and every step is one rounded mul + one rounded add.
+  /// skipped, so 0 * inf and 0 * NaN from b never reach `out`. (The skip is
+  /// not about signed zeros: callers zero `out`, and a sum that starts at
+  /// +0.0 never becomes -0.0.) The SIMD paths implement the skip as a select
+  /// back to the unchanged accumulator, exact for any `out`, and dispatch on
+  /// shape inside (register-blocked for the model's small n, DESIGN.md
+  /// §16.5). Bit-identical across paths: per output element the
+  /// k-accumulation order is unchanged and every step is one rounded mul +
+  /// one rounded add.
   void (*matmul)(const float* a, const float* b, float* out, std::size_t m, std::size_t k,
                  std::size_t n);
   /// out[m,n] += a^T * b with a[k,m], b[k,n] (k-outer rank-1 updates, a == 0
-  /// skipped). Bit-identical across paths, same argument as matmul.
+  /// skipped as in matmul). Bit-identical across paths, same argument as
+  /// matmul.
   void (*transposed_matmul)(const float* a, const float* b, float* out, std::size_t k,
                             std::size_t m, std::size_t n);
   /// out[m,n] = a[m,k] * b^T with b[n,k]: double-accumulated dot products.

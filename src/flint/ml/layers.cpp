@@ -1,7 +1,9 @@
 #include "flint/ml/layers.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "flint/ml/kernels/kernels.h"
@@ -9,6 +11,14 @@
 namespace flint::ml {
 
 namespace {
+
+/// x if keep, else +0.0, as a bit mask: a compare and an and, so the select
+/// never becomes a branch on the data (a conditional expression on floats
+/// does, at -O2 and in vector tails).
+inline float keep_or_zero(bool keep, float x) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
+                              (0u - static_cast<std::uint32_t>(keep)));
+}
 
 /// Xavier-uniform init for a [fan_in, fan_out] weight matrix.
 void xavier_init(Tensor& w, std::size_t fan_in, std::size_t fan_out, util::Rng& rng) {
@@ -20,31 +30,48 @@ void xavier_init(Tensor& w, std::size_t fan_in, std::size_t fan_out, util::Rng& 
 
 // ---------------------------------------------------------------- DenseLayer
 
-DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim)
-    : in_dim_(in_dim), out_dim_(out_dim), weight_(in_dim, out_dim), bias_(1, out_dim) {
+DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, bool input_grad)
+    : in_dim_(in_dim),
+      out_dim_(out_dim),
+      input_grad_(input_grad),
+      weight_(in_dim, out_dim),
+      bias_(1, out_dim) {
   FLINT_CHECK(in_dim > 0 && out_dim > 0);
 }
 
-Tensor DenseLayer::forward(const Tensor& input) {
+const Tensor& DenseLayer::forward(const Tensor& input) {
   FLINT_CHECK_MSG(input.cols() == in_dim_,
                   "dense layer expects " << in_dim_ << " inputs, got " << input.cols());
   last_input_ = input;
-  Tensor out = input.matmul(weight_.value);
+  const std::size_t n = input.rows();
+  out_.resize(n, out_dim_);
+  out_.zero();
   const auto& k = kernels::active();
+  k.matmul(input.flat().data(), weight_.value.flat().data(), out_.flat().data(), n, in_dim_,
+           out_dim_);
   auto bias = bias_.value.flat();
-  for (std::size_t i = 0; i < out.rows(); ++i) k.add(out.row(i).data(), bias.data(), out_dim_);
-  return out;
+  for (std::size_t i = 0; i < n; ++i) k.add(out_.row(i).data(), bias.data(), out_dim_);
+  return out_;
 }
 
-Tensor DenseLayer::backward(const Tensor& d_output) {
+const Tensor& DenseLayer::backward(const Tensor& d_output) {
   FLINT_CHECK(d_output.rows() == last_input_.rows() && d_output.cols() == out_dim_);
-  // dW += X^T dY;  db += column sums of dY;  dX = dY W^T.
-  weight_.grad += last_input_.transposed_matmul(d_output);
+  // dW += X^T dY;  db += column sums of dY;  dX = dY W^T. dW is formed in a
+  // workspace and then added, so gradients accumulate across calls.
+  const std::size_t n = d_output.rows();
   const auto& k = kernels::active();
+  d_weight_.resize(in_dim_, out_dim_);
+  d_weight_.zero();
+  k.transposed_matmul(last_input_.flat().data(), d_output.flat().data(),
+                      d_weight_.flat().data(), n, in_dim_, out_dim_);
+  weight_.grad += d_weight_;
   auto bias_grad = bias_.grad.flat();
-  for (std::size_t i = 0; i < d_output.rows(); ++i)
-    k.add(bias_grad.data(), d_output.row(i).data(), out_dim_);
-  return d_output.matmul_transposed(weight_.value);
+  for (std::size_t i = 0; i < n; ++i) k.add(bias_grad.data(), d_output.row(i).data(), out_dim_);
+  if (!input_grad_) return d_input_;
+  d_input_.resize(n, in_dim_);
+  k.matmul_transposed(d_output.flat().data(), weight_.value.flat().data(),
+                      d_input_.flat().data(), n, out_dim_, in_dim_);
+  return d_input_;
 }
 
 void DenseLayer::init(util::Rng& rng) {
@@ -54,58 +81,22 @@ void DenseLayer::init(util::Rng& rng) {
 
 // ----------------------------------------------------------------- ReluLayer
 
-Tensor ReluLayer::forward(const Tensor& input) {
-  last_input_ = input;
-  Tensor out = input;
-  for (float& v : out.flat())
-    if (v < 0.0f) v = 0.0f;
-  return out;
+const Tensor& ReluLayer::forward(const Tensor& input) {
+  out_.resize(input.rows(), input.cols());
+  auto in = input.flat();
+  auto out = out_.flat();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = keep_or_zero(!(in[i] < 0.0f), in[i]);
+  return out_;
 }
 
-Tensor ReluLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_input_));
-  Tensor din = d_output;
-  auto in = last_input_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i)
-    if (in[i] <= 0.0f) g[i] = 0.0f;
-  return din;
-}
-
-// -------------------------------------------------------------- SigmoidLayer
-
-Tensor SigmoidLayer::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.flat()) v = 1.0f / (1.0f + std::exp(-v));
-  last_output_ = out;
-  return out;
-}
-
-Tensor SigmoidLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_output_));
-  Tensor din = d_output;
-  auto y = last_output_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= y[i] * (1.0f - y[i]);
-  return din;
-}
-
-// ----------------------------------------------------------------- TanhLayer
-
-Tensor TanhLayer::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.flat()) v = std::tanh(v);
-  last_output_ = out;
-  return out;
-}
-
-Tensor TanhLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_output_));
-  Tensor din = d_output;
-  auto y = last_output_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
-  return din;
+const Tensor& ReluLayer::backward(const Tensor& d_output) {
+  FLINT_CHECK(d_output.same_shape(out_));
+  d_input_.resize(d_output.rows(), d_output.cols());
+  auto out = out_.flat();
+  auto g = d_output.flat();
+  auto din = d_input_.flat();
+  for (std::size_t i = 0; i < din.size(); ++i) din[i] = keep_or_zero(!(out[i] <= 0.0f), g[i]);
+  return d_input_;
 }
 
 // --------------------------------------------------------- EmbeddingBagLayer
@@ -180,17 +171,17 @@ Conv1dMaxPoolLayer::Conv1dMaxPoolLayer(std::size_t seq_len, std::size_t in_ch,
   FLINT_CHECK(kernel > 0 && kernel <= seq_len);
 }
 
-Tensor Conv1dMaxPoolLayer::forward(const Tensor& input) {
+const Tensor& Conv1dMaxPoolLayer::forward(const Tensor& input) {
   FLINT_CHECK_MSG(input.cols() == seq_len_ * in_ch_,
                   "conv1d expects " << seq_len_ * in_ch_ << " inputs, got " << input.cols());
   last_input_ = input;
   std::size_t n = input.rows();
   std::size_t positions = seq_len_ - kernel_ + 1;
-  Tensor out(n, out_ch_);
+  out_.resize(n, out_ch_);
   last_argmax_.assign(n * out_ch_, 0);
   for (std::size_t s = 0; s < n; ++s) {
     auto in = input.row(s);
-    auto o = out.row(s);
+    auto o = out_.row(s);
     for (std::size_t c = 0; c < out_ch_; ++c)
       o[c] = -std::numeric_limits<float>::infinity();
     for (std::size_t p = 0; p < positions; ++p) {
@@ -207,16 +198,17 @@ Tensor Conv1dMaxPoolLayer::forward(const Tensor& input) {
       }
     }
   }
-  return out;
+  return out_;
 }
 
-Tensor Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
+const Tensor& Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
   FLINT_CHECK(d_output.rows() == last_input_.rows() && d_output.cols() == out_ch_);
-  Tensor din(last_input_.rows(), last_input_.cols());
+  d_input_.resize(last_input_.rows(), last_input_.cols());
+  d_input_.zero();
   for (std::size_t s = 0; s < last_input_.rows(); ++s) {
     auto in = last_input_.row(s);
     auto g = d_output.row(s);
-    auto gi = din.row(s);
+    auto gi = d_input_.row(s);
     for (std::size_t c = 0; c < out_ch_; ++c) {
       float go = g[c];
       if (go == 0.0f) continue;
@@ -230,7 +222,7 @@ Tensor Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
       kernel_b_.grad[c] += go;
     }
   }
-  return din;
+  return d_input_;
 }
 
 void Conv1dMaxPoolLayer::init(util::Rng& rng) {

@@ -1,5 +1,6 @@
-// Neural network layers. Each layer owns its parameters (value + gradient)
-// and caches whatever it needs from forward() to run backward().
+// Neural network layers. Each layer owns its parameters (value + gradient),
+// caches whatever it needs from forward() to run backward(), and owns the
+// workspace tensors its forward() and backward() results live in.
 //
 // Layers operate on rank-2 activations [batch, features]. Front-end layers
 // that consume ragged token ids (EmbeddingBag, HashedBag) expose a separate
@@ -26,17 +27,25 @@ struct Parameter {
 };
 
 /// Base class for dense-activation layers.
+///
+/// forward() and backward() return references to workspace tensors the
+/// layer owns, so a training step allocates nothing once the workspaces have
+/// grown to the batch size. The reference forward() returns stays valid and
+/// unchanged until the layer's next forward(); the one backward() returns
+/// until its next backward(). Copy a result to keep it longer. Neither
+/// method keeps a reference to its argument: what backward() needs from the
+/// input, forward() copies.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// Compute output activations; must cache state needed by backward().
-  virtual Tensor forward(const Tensor& input) = 0;
+  virtual const Tensor& forward(const Tensor& input) = 0;
 
   /// Propagate gradients. `d_output` matches the last forward's output shape;
   /// returns gradient w.r.t. that forward's input. Accumulates into parameter
   /// gradients (callers zero_grad() between steps).
-  virtual Tensor backward(const Tensor& d_output) = 0;
+  virtual const Tensor& backward(const Tensor& d_output) = 0;
 
   /// Mutable views of this layer's parameters (empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -50,10 +59,12 @@ class Layer {
 /// Fully connected layer: out = in x W + b. W: [in, out], b: [1, out].
 class DenseLayer : public Layer {
  public:
-  DenseLayer(std::size_t in_dim, std::size_t out_dim);
+  /// With `input_grad` false, backward() skips dX = dY W^T and returns an
+  /// empty tensor: for a first layer whose input nothing trains.
+  DenseLayer(std::size_t in_dim, std::size_t out_dim, bool input_grad = true);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& d_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& d_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   void init(util::Rng& rng) override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<DenseLayer>(*this); }
@@ -64,43 +75,27 @@ class DenseLayer : public Layer {
  private:
   std::size_t in_dim_;
   std::size_t out_dim_;
+  bool input_grad_;
   Parameter weight_;
   Parameter bias_;
   Tensor last_input_;
+  Tensor out_;          ///< forward() result
+  Tensor d_weight_;     ///< X^T dY, before it is added into weight_.grad
+  Tensor d_input_;      ///< backward() result
 };
 
-/// Rectified linear activation.
+/// Rectified linear activation, branch-free: out = in < 0 ? +0 : in. The
+/// backward mask reads the layer's own output, not a saved input: out <= 0
+/// exactly when in <= 0, for -0.0 and NaN too.
 class ReluLayer : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& d_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& d_output) override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<ReluLayer>(*this); }
 
  private:
-  Tensor last_input_;
-};
-
-/// Logistic sigmoid activation (used inside models that need bounded hidden
-/// activations; output heads stay as raw logits for BCE-with-logits).
-class SigmoidLayer : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& d_output) override;
-  std::unique_ptr<Layer> clone() const override { return std::make_unique<SigmoidLayer>(*this); }
-
- private:
-  Tensor last_output_;
-};
-
-/// Hyperbolic tangent activation.
-class TanhLayer : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& d_output) override;
-  std::unique_ptr<Layer> clone() const override { return std::make_unique<TanhLayer>(*this); }
-
- private:
-  Tensor last_output_;
+  Tensor out_;      ///< forward() result
+  Tensor d_input_;  ///< backward() result
 };
 
 /// Mean-pooled embedding lookup over ragged token ids ("embedding bag").
@@ -159,8 +154,8 @@ class Conv1dMaxPoolLayer : public Layer {
   Conv1dMaxPoolLayer(std::size_t seq_len, std::size_t in_ch, std::size_t out_ch,
                      std::size_t kernel);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& d_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& d_output) override;
   std::vector<Parameter*> parameters() override { return {&kernel_w_, &kernel_b_}; }
   void init(util::Rng& rng) override;
   std::unique_ptr<Layer> clone() const override {
@@ -179,6 +174,8 @@ class Conv1dMaxPoolLayer : public Layer {
   Tensor last_input_;
   /// argmax position per (sample, out channel) from the last forward.
   std::vector<std::size_t> last_argmax_;
+  Tensor out_;      ///< forward() result
+  Tensor d_input_;  ///< backward() result
 };
 
 }  // namespace flint::ml

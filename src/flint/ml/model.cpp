@@ -73,13 +73,17 @@ FeedForwardModel::FeedForwardModel(FeedForwardConfig config) : config_(std::move
       hashing_ = std::make_unique<HashedBagLayer>(config_.hash_buckets);
       break;
   }
+  // Only an embedding table trains on the trunk's input gradient; without
+  // one, the first layer's dX = dY W^T would be computed and thrown away.
+  const bool input_grad = config_.front_end == FrontEnd::kEmbedding;
   std::size_t dim = trunk_input_dim();
   for (std::size_t width : config_.hidden) {
-    trunk_.push_back(std::make_unique<DenseLayer>(dim, width));
+    trunk_.push_back(std::make_unique<DenseLayer>(dim, width, input_grad || !trunk_.empty()));
     trunk_.push_back(std::make_unique<ReluLayer>());
     dim = width;
   }
-  trunk_.push_back(std::make_unique<DenseLayer>(dim, config_.heads));
+  trunk_.push_back(
+      std::make_unique<DenseLayer>(dim, config_.heads, input_grad || !trunk_.empty()));
 }
 
 FeedForwardModel::FeedForwardModel(const FeedForwardModel& other) : config_(other.config_) {
@@ -100,49 +104,47 @@ std::size_t FeedForwardModel::trunk_input_dim() const {
 Tensor FeedForwardModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   last_batch_size_ = n;
-  Tensor activ;
-  if (config_.front_end == FrontEnd::kNone) {
-    activ = batch.dense;
-    last_had_tokens_ = false;
-  } else {
+  const Tensor* activ = &batch.dense;
+  last_had_tokens_ = config_.front_end != FrontEnd::kNone;
+  if (last_had_tokens_) {
     Tensor front = (config_.front_end == FrontEnd::kEmbedding)
                        ? embedding_->forward(batch.tokens)
                        : hashing_->forward(batch.tokens);
-    last_had_tokens_ = true;
     if (config_.dense_dim == 0) {
-      activ = std::move(front);
+      trunk_input_ = std::move(front);
     } else {
       // Concatenate [front | dense].
-      activ = Tensor(n, front.cols() + config_.dense_dim);
+      trunk_input_.resize(n, front.cols() + config_.dense_dim);
       for (std::size_t i = 0; i < n; ++i) {
-        auto o = activ.row(i);
+        auto o = trunk_input_.row(i);
         auto f = front.row(i);
         auto d = batch.dense.row(i);
         std::copy(f.begin(), f.end(), o.begin());
         std::copy(d.begin(), d.end(), o.begin() + static_cast<std::ptrdiff_t>(front.cols()));
       }
     }
+    activ = &trunk_input_;
   }
-  for (auto& layer : trunk_) activ = layer->forward(activ);
-  return activ;
+  for (auto& layer : trunk_) activ = &layer->forward(*activ);
+  return *activ;
 }
 
 void FeedForwardModel::backward(const Tensor& d_logits) {
-  Tensor grad = d_logits;
-  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = (*it)->backward(grad);
+  const Tensor* grad = &d_logits;
+  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = &(*it)->backward(*grad);
   if (config_.front_end == FrontEnd::kEmbedding && last_had_tokens_) {
     if (config_.dense_dim == 0) {
-      embedding_->backward(grad);
+      embedding_->backward(*grad);
     } else {
       // Slice off the embedding part of the concatenated gradient.
-      Tensor front_grad(last_batch_size_, config_.embed_dim);
+      front_grad_.resize(last_batch_size_, config_.embed_dim);
       for (std::size_t i = 0; i < last_batch_size_; ++i) {
-        auto g = grad.row(i);
-        auto fg = front_grad.row(i);
+        auto g = grad->row(i);
+        auto fg = front_grad_.row(i);
         std::copy(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(config_.embed_dim),
                   fg.begin());
       }
-      embedding_->backward(front_grad);
+      embedding_->backward(front_grad_);
     }
   }
   // Hashing front end has no trainable parameters; gradient stops there.
@@ -191,8 +193,8 @@ ConvTextModel::ConvTextModel(const ConvTextModel& other)
 Tensor ConvTextModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   // Pad/truncate token lists to seq_len; id 0 doubles as padding/OOV.
-  last_padded_.assign(n, {});
-  Tensor activ(n, config_.seq_len * config_.embed_dim);
+  last_padded_.resize(n);
+  trunk_input_.resize(n, config_.seq_len * config_.embed_dim);
   for (std::size_t i = 0; i < n; ++i) {
     auto& padded = last_padded_[i];
     padded.assign(config_.seq_len, 0);
@@ -200,23 +202,24 @@ Tensor ConvTextModel::forward(const Batch& batch) {
       padded[j] = std::clamp<std::int32_t>(batch.tokens[i][j], 0,
                                            static_cast<std::int32_t>(config_.vocab) - 1);
     }
-    auto o = activ.row(i);
+    auto o = trunk_input_.row(i);
     for (std::size_t p = 0; p < config_.seq_len; ++p) {
       auto e = embedding_.value.row(static_cast<std::size_t>(padded[p]));
       std::copy(e.begin(), e.end(), o.begin() + static_cast<std::ptrdiff_t>(p * config_.embed_dim));
     }
   }
-  for (auto& layer : trunk_) activ = layer->forward(activ);
-  return activ;
+  const Tensor* activ = &trunk_input_;
+  for (auto& layer : trunk_) activ = &layer->forward(*activ);
+  return *activ;
 }
 
 void ConvTextModel::backward(const Tensor& d_logits) {
-  Tensor grad = d_logits;
-  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = (*it)->backward(grad);
-  FLINT_CHECK(grad.rows() == last_padded_.size() &&
-              grad.cols() == config_.seq_len * config_.embed_dim);
+  const Tensor* grad = &d_logits;
+  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = &(*it)->backward(*grad);
+  FLINT_CHECK(grad->rows() == last_padded_.size() &&
+              grad->cols() == config_.seq_len * config_.embed_dim);
   for (std::size_t i = 0; i < last_padded_.size(); ++i) {
-    auto g = grad.row(i);
+    auto g = grad->row(i);
     for (std::size_t p = 0; p < config_.seq_len; ++p) {
       auto gr = embedding_.grad.row(static_cast<std::size_t>(last_padded_[i][p]));
       for (std::size_t j = 0; j < config_.embed_dim; ++j)

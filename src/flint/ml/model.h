@@ -98,6 +98,8 @@ class FeedForwardModel : public Model {
   std::unique_ptr<EmbeddingBagLayer> embedding_;  ///< kEmbedding only
   std::unique_ptr<HashedBagLayer> hashing_;       ///< kHashing only
   std::vector<std::unique_ptr<Layer>> trunk_;     ///< dense + relu stack + head
+  Tensor trunk_input_;  ///< front-end output (| dense) fed to the trunk
+  Tensor front_grad_;   ///< embedding slice of the trunk's input gradient
   std::size_t last_batch_size_ = 0;
   bool last_had_tokens_ = false;
 };
@@ -131,6 +133,7 @@ class ConvTextModel : public Model {
   ConvTextConfig config_;
   Parameter embedding_;  ///< [vocab, embed_dim]; positional lookup, not a bag
   std::vector<std::unique_ptr<Layer>> trunk_;
+  Tensor trunk_input_;  ///< [n, seq_len * embed_dim] positional embeddings
   std::vector<std::vector<std::int32_t>> last_padded_;
 };
 

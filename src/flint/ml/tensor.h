@@ -1,8 +1,11 @@
 // Minimal dense tensor for FLINT's on-device-sized models.
 //
 // FLINT's models are deliberately small (the paper's Model E, the largest,
-// is 922k parameters) so a straightforward row-major float tensor with naive
-// kernels is sufficient and keeps the reproduction dependency-free.
+// is 922k parameters), so a plain row-major float tensor is enough and keeps
+// the reproduction dependency-free. Its arithmetic goes through the
+// runtime-dispatched kernel table (kernels/kernels.h, DESIGN.md §16), whose
+// SIMD paths include register-blocked microkernels for the small tiles local
+// SGD runs; layers reuse tensors as workspaces via resize().
 #pragma once
 
 #include <cstddef>
@@ -46,6 +49,11 @@ class Tensor {
 
   /// Reset every element to zero, keeping the shape.
   void zero();
+
+  /// Reshape to [rows, cols], reusing the existing capacity (no allocation
+  /// once the tensor has held rows*cols elements). Element values after a
+  /// resize are unspecified; zero() before accumulating into them.
+  void resize(std::size_t rows, std::size_t cols);
 
   /// Fill with a constant.
   void fill(float v);

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "flint/data/synthetic_tasks.h"
 #include "flint/fl/aggregator.h"
 #include "flint/fl/client_selection.h"
 #include "flint/fl/lr_schedule.h"
 #include "flint/fl/task_duration.h"
+#include "flint/fl/trainer.h"
+#include "flint/ml/kernels/kernels.h"
 
 namespace flint::fl {
 namespace {
@@ -232,6 +238,70 @@ TEST(OvercommittedSize, CeilBehaviour) {
   EXPECT_EQ(overcommitted_size(3, 1.5), 5u);
   EXPECT_THROW(overcommitted_size(0, 1.3), util::CheckError);
   EXPECT_THROW(overcommitted_size(5, 0.5), util::CheckError);
+}
+
+// ------------------------------------------------------------ LocalTrainer
+
+/// FNV-1a over the bit patterns of the floats.
+std::uint64_t fnv1a_float_bits(const std::vector<float>& v, std::uint64_t h) {
+  for (float f : v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Hash of the local-SGD deltas of four ads clients (the table3 model,
+/// 16 -> 32 -> 16 -> 1, batch 16, 3 epochs) on the active kernel path.
+std::uint64_t ads_delta_hash() {
+  data::SyntheticTaskConfig cfg;
+  cfg.domain = data::Domain::kAds;
+  cfg.clients = 4;
+  cfg.mean_records = 200;
+  cfg.std_records = 150;
+  cfg.dense_dim = 16;
+  cfg.test_examples = 16;
+  util::Rng rng(17);
+  data::FederatedTask task = data::make_synthetic_task(cfg, rng);
+  std::unique_ptr<ml::Model> model = task.make_model(rng);
+  const std::vector<float> params = model->get_flat_parameters();
+  LocalTrainer trainer(std::move(model), task.batch_dense_dim());
+  LocalTrainConfig local;
+  local.epochs = 3;
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& client : task.train.clients())
+    h = fnv1a_float_bits(trainer.train(client.examples, params, local).delta, h);
+  return h;
+}
+
+class LocalTrainerGolden : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_spec_ = ml::kernels::requested_spec(); }
+  void TearDown() override { ml::kernels::set_path(saved_spec_); }
+  std::string saved_spec_;
+};
+
+TEST_F(LocalTrainerGolden, FixedSeedDeltaMatchesGoldenHashPerKernelPath) {
+  // Pins local SGD's numerics on each kernel path CI runs (x86: scalar and
+  // AVX2). A change to the layers, the model or the kernels that moves any
+  // delta bit changes the hash. Bump a constant ONLY for an intentional
+  // numerics change, and say so in the commit message.
+  namespace k = ml::kernels;
+  struct Golden {
+    k::KernelPath path;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {{k::KernelPath::kScalar, 0xf29f53e19b240968ull},
+                            {k::KernelPath::kAvx2, 0xf29f53e19b240968ull}};
+  for (const Golden& g : goldens) {
+    if (!k::path_supported(g.path)) continue;
+    k::set_path(k::path_name(g.path));
+    EXPECT_EQ(ads_delta_hash(), g.hash) << "on the " << k::path_name(g.path) << " path";
+  }
 }
 
 }  // namespace

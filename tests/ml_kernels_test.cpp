@@ -33,9 +33,11 @@ std::vector<float> random_floats(std::size_t n, util::Rng& rng, double stddev = 
   return v;
 }
 
+// memcmp's pointers must be non-null even for a zero length, and an empty
+// vector's data() may be null.
 bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 bool within_one_ulp(float a, float b) {
@@ -111,7 +113,7 @@ TEST(KernelEquivalence, AccumAndReduceKernels) {
       std::vector<double> sa = sum0, sb = sum0;
       scalar.weighted_accum(sa.data(), x.data(), 2.5, n);
       simd.weighted_accum(sb.data(), x.data(), 2.5, n);
-      EXPECT_EQ(0, std::memcmp(sa.data(), sb.data(), n * sizeof(double)))
+      EXPECT_TRUE(n == 0 || std::memcmp(sa.data(), sb.data(), n * sizeof(double)) == 0)
           << "weighted_accum differs at n=" << n;
 
       // mean_from_sums: elementwise, bit-identical.
@@ -134,44 +136,110 @@ TEST(KernelEquivalence, AccumAndReduceKernels) {
   }
 }
 
-TEST(KernelEquivalence, MatmulFamily) {
+/// Post-ReLU activations: about half exact zeros, at random positions.
+std::vector<float> relu_like(std::size_t n, util::Rng& rng) {
+  std::vector<float> v = random_floats(n, rng);
+  for (float& f : v)
+    if (rng.bernoulli(0.5)) f = 0.0f;
+  return v;
+}
+
+/// Runs the three matmul kernels on scalar and `simd` from the same inputs
+/// and `out` start value: matmul and transposed_matmul must agree bit for
+/// bit, matmul_transposed (double dots) within 1 ULP.
+void expect_matmul_family_matches(const k::KernelTable& simd, const char* path_name,
+                                  std::size_t m, std::size_t kk, std::size_t n,
+                                  const std::vector<float>& a, const std::vector<float>& at,
+                                  const std::vector<float>& b, const std::vector<float>& bt,
+                                  float out_start) {
   const auto& scalar = k::table_for(k::KernelPath::kScalar);
+  const std::string where = std::string(path_name) + " at " + std::to_string(m) + "x" +
+                            std::to_string(kk) + "x" + std::to_string(n);
+
+  std::vector<float> oa(m * n, out_start), ob(m * n, out_start);
+  scalar.matmul(a.data(), b.data(), oa.data(), m, kk, n);
+  simd.matmul(a.data(), b.data(), ob.data(), m, kk, n);
+  EXPECT_TRUE(bit_equal(oa, ob)) << "matmul differs on " << where;
+
+  // transposed_matmul: at is [k, m].
+  std::vector<float> ta(m * n, out_start), tb(m * n, out_start);
+  scalar.transposed_matmul(at.data(), b.data(), ta.data(), kk, m, n);
+  simd.transposed_matmul(at.data(), b.data(), tb.data(), kk, m, n);
+  EXPECT_TRUE(bit_equal(ta, tb)) << "transposed_matmul differs on " << where;
+
+  // matmul_transposed: bt is [n, k]; it assigns, so out_start is irrelevant.
+  if (bt.empty()) return;
+  std::vector<float> da(m * n, out_start), db(m * n, out_start);
+  scalar.matmul_transposed(a.data(), bt.data(), da.data(), m, kk, n);
+  simd.matmul_transposed(a.data(), bt.data(), db.data(), m, kk, n);
+  for (std::size_t i = 0; i < da.size(); ++i)
+    EXPECT_TRUE(within_one_ulp(da[i], db[i]))
+        << "matmul_transposed element " << i << " beyond 1 ULP on " << where << ": " << da[i]
+        << " vs " << db[i];
+}
+
+TEST(KernelEquivalence, MatmulFamily) {
   struct Shape {
     std::size_t m, kk, n;
   };
-  const Shape shapes[] = {{1, 1, 1}, {3, 5, 7}, {8, 8, 8}, {17, 33, 9}, {32, 64, 16}};
+  const Shape shapes[] = {
+      {1, 1, 1}, {3, 5, 7}, {8, 8, 8}, {17, 33, 9}, {32, 64, 16},
+      // The ads MLP's tiles at batch 16 (16 -> 32 -> 16 -> 1), the 512-row
+      // eval batch, and batch tails that leave partial row blocks.
+      {16, 16, 32}, {16, 32, 16}, {16, 16, 1}, {16, 1, 16}, {512, 16, 32}, {7, 16, 32},
+      {5, 16, 24}};
   for (k::KernelPath path : simd_paths()) {
     const auto& simd = k::table_for(path);
     for (const Shape& s : shapes) {
       util::Rng rng(3000 + s.m * 100 + s.kk * 10 + s.n);
-      std::vector<float> a = random_floats(s.m * s.kk, rng);
+      const std::vector<float> a = relu_like(s.m * s.kk, rng);
+      const std::vector<float> at = relu_like(s.kk * s.m, rng);
+      const std::vector<float> b = random_floats(s.kk * s.n, rng);
+      const std::vector<float> bt = random_floats(s.n * s.kk, rng);
+      expect_matmul_family_matches(simd, k::path_name(path), s.m, s.kk, s.n, a, at, b, bt,
+                                   0.0f);
+    }
+  }
+}
+
+// The a == 0 skip is what keeps 0 * inf and 0 * NaN out of `out`; the SIMD
+// paths implement it as a select, which must be exact for any `out`,
+// including one that starts at -0.0.
+TEST(KernelEquivalence, MatmulZeroSkipIsExact) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  struct Shape {
+    std::size_t m, kk, n;
+  };
+  const Shape shapes[] = {{16, 16, 32}, {16, 32, 16}, {16, 16, 1}, {7, 16, 32}, {5, 16, 24},
+                          {17, 33, 9}};
+  for (k::KernelPath path : simd_paths()) {
+    const auto& simd = k::table_for(path);
+    for (const Shape& s : shapes) {
+      util::Rng rng(4000 + s.m * 100 + s.kk * 10 + s.n);
+      std::vector<float> a = relu_like(s.m * s.kk, rng);
+      std::vector<float> at = relu_like(s.kk * s.m, rng);
       std::vector<float> b = random_floats(s.kk * s.n, rng);
-      // Plant exact zeros so the a==0 skip (signed-zero preservation) runs.
-      for (std::size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
-
-      std::vector<float> oa(s.m * s.n, 0.0f), ob(s.m * s.n, 0.0f);
-      scalar.matmul(a.data(), b.data(), oa.data(), s.m, s.kk, s.n);
-      simd.matmul(a.data(), b.data(), ob.data(), s.m, s.kk, s.n);
-      EXPECT_TRUE(bit_equal(oa, ob))
-          << "matmul differs on " << k::path_name(path) << " at " << s.m << "x" << s.kk << "x"
-          << s.n;
-
-      // transposed_matmul: a is [k, m].
-      std::vector<float> at = random_floats(s.kk * s.m, rng);
-      std::vector<float> ta(s.m * s.n, 0.0f), tb(s.m * s.n, 0.0f);
-      scalar.transposed_matmul(at.data(), b.data(), ta.data(), s.kk, s.m, s.n);
-      simd.transposed_matmul(at.data(), b.data(), tb.data(), s.kk, s.m, s.n);
-      EXPECT_TRUE(bit_equal(ta, tb)) << "transposed_matmul differs on " << k::path_name(path);
-
-      // matmul_transposed: b is [n, k]; dot products agree within 1 ULP.
-      std::vector<float> bt = random_floats(s.n * s.kk, rng);
-      std::vector<float> da(s.m * s.n, 0.0f), db(s.m * s.n, 0.0f);
-      scalar.matmul_transposed(a.data(), bt.data(), da.data(), s.m, s.kk, s.n);
-      simd.matmul_transposed(a.data(), bt.data(), db.data(), s.m, s.kk, s.n);
-      for (std::size_t i = 0; i < da.size(); ++i)
-        EXPECT_TRUE(within_one_ulp(da[i], db[i]))
-            << "matmul_transposed element " << i << " beyond 1 ULP: " << da[i] << " vs "
-            << db[i];
+      // Every third k carries +inf, -inf and NaN in b; every a value that
+      // multiplies them is an exact zero (+0.0 or -0.0).
+      for (std::size_t kk = 0; kk < s.kk; kk += 3) {
+        for (std::size_t j = 0; j < s.n; ++j) {
+          const float poison[] = {kInf, -kInf, kNan};
+          b[kk * s.n + j] = poison[j % 3];
+        }
+        for (std::size_t i = 0; i < s.m; ++i) {
+          a[i * s.kk + kk] = (i % 2 == 0) ? 0.0f : -0.0f;
+          at[kk * s.m + i] = (i % 2 == 0) ? -0.0f : 0.0f;
+        }
+      }
+      // Output row 0 takes no update at all, so a -0.0 start must survive.
+      for (std::size_t kk = 0; kk < s.kk; ++kk) a[kk] = at[kk * s.m] = 0.0f;
+      // A NaN in a is not a zero: it must reach row 1 of `out`, as it does
+      // in the scalar loop (k = 1 carries no inf in b).
+      a[1 * s.kk + 1] = at[1 * s.m + 1] = kNan;
+      for (float out_start : {0.0f, -0.0f})
+        expect_matmul_family_matches(simd, k::path_name(path), s.m, s.kk, s.n, a, at, b, {},
+                                     out_start);
     }
   }
 }

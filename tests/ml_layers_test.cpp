@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "flint/util/rng.h"
 
@@ -122,25 +124,118 @@ TEST(ReluLayer, ForwardAndGradientMask) {
   EXPECT_EQ(din[3], 0.0f);
 }
 
-TEST(SigmoidLayer, GradientsMatchFiniteDifferences) {
-  util::Rng rng(3);
-  SigmoidLayer layer;
-  check_layer_gradients(layer, random_input(3, 4, rng));
+// The loops ReLU ran before it became branch-free and dropped its saved
+// input: forward clamps a copy of the input, backward masks on the input.
+Tensor reference_relu_forward(const Tensor& input) {
+  Tensor out = input;
+  for (float& v : out.flat())
+    if (v < 0.0f) v = 0.0f;
+  return out;
 }
 
-TEST(TanhLayer, GradientsMatchFiniteDifferences) {
-  util::Rng rng(4);
-  TanhLayer layer;
-  check_layer_gradients(layer, random_input(3, 4, rng));
+Tensor reference_relu_backward(const Tensor& input, const Tensor& d_output) {
+  Tensor din = d_output;
+  auto in = input.flat();
+  auto g = din.flat();
+  for (std::size_t i = 0; i < g.size(); ++i)
+    if (in[i] <= 0.0f) g[i] = 0.0f;
+  return din;
 }
 
-TEST(SigmoidLayer, Range) {
-  SigmoidLayer s;
-  Tensor in(1, 2, {-50.0f, 50.0f});
-  Tensor out = s.forward(in);
-  EXPECT_GE(out[0], 0.0f);
-  EXPECT_LE(out[1], 1.0f);
-  EXPECT_NEAR(out[1], 1.0f, 1e-6);
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.flat().data(), b.flat().data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(ReluLayer, MatchesReferenceOnSignedZerosAndNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor in(2, 5, {-0.0f, 0.0f, nan, 1.5f, -1.5f, -nan, inf, -inf, 1e-40f, -1e-40f});
+  Tensor g(2, 5, {1.0f, -2.0f, 3.0f, -4.0f, 5.0f, -6.0f, 7.0f, -8.0f, 9.0f, -10.0f});
+  ReluLayer relu;
+  Tensor out = relu.forward(in);
+  Tensor din = relu.backward(g);
+  EXPECT_TRUE(bit_equal(out, reference_relu_forward(in)));
+  EXPECT_TRUE(bit_equal(din, reference_relu_backward(in, g)));
+  EXPECT_TRUE(std::signbit(out[0])) << "-0.0 passes through unchanged";
+  EXPECT_TRUE(std::isnan(out[2]));
+  EXPECT_EQ(din[2], 3.0f) << "NaN is not <= 0, so its gradient passes";
+}
+
+// Workspaces that grow, shrink and grow again across batch sizes must give
+// the gradients a fresh layer stack gives on the same batches.
+TEST(Layers, WorkspaceReuseAcrossBatchSizes) {
+  util::Rng rng(8);
+  DenseLayer dense(16, 32);
+  dense.init(rng);
+  ReluLayer relu;
+  DenseLayer head(32, 1);
+  head.init(rng);
+  std::vector<Layer*> stack = {&dense, &relu, &head};
+
+  auto run = [](const std::vector<Layer*>& layers, const Tensor& x, const Tensor& dy) {
+    const Tensor* a = &x;
+    for (Layer* l : layers) a = &l->forward(*a);
+    const Tensor* g = &dy;
+    for (auto it = layers.rbegin(); it != layers.rend(); ++it) g = &(*it)->backward(*g);
+    return *g;
+  };
+  for (std::size_t rows : {16, 7, 16}) {
+    const Tensor x = random_input(rows, 16, rng);
+    const Tensor dy = random_input(rows, 1, rng);
+    std::vector<std::unique_ptr<Layer>> fresh;
+    std::vector<Layer*> fresh_stack;
+    for (Layer* l : stack) {
+      fresh.push_back(l->clone());
+      fresh_stack.push_back(fresh.back().get());
+    }
+    for (Layer* l : stack)
+      for (Parameter* p : l->parameters()) p->grad.zero();
+    for (Layer* l : fresh_stack)
+      for (Parameter* p : l->parameters()) p->grad.zero();
+    const Tensor dx = run(stack, x, dy);
+    const Tensor fresh_dx = run(fresh_stack, x, dy);
+    EXPECT_TRUE(bit_equal(dx, fresh_dx)) << "input gradient differs at " << rows << " rows";
+    for (std::size_t li = 0; li < stack.size(); ++li) {
+      auto params = stack[li]->parameters();
+      auto fresh_params = fresh_stack[li]->parameters();
+      for (std::size_t pi = 0; pi < params.size(); ++pi)
+        EXPECT_TRUE(bit_equal(params[pi]->grad, fresh_params[pi]->grad))
+            << "layer " << li << " param " << pi << " grad differs at " << rows << " rows";
+    }
+  }
+}
+
+TEST(DenseLayer, BackwardAccumulatesIntoGradients) {
+  util::Rng rng(9);
+  DenseLayer layer(4, 3);
+  layer.init(rng);
+  const Tensor x = random_input(5, 4, rng);
+  const Tensor dy = random_input(5, 3, rng);
+  layer.forward(x);
+  layer.backward(dy);
+  const Tensor once = layer.parameters()[0]->grad;
+  layer.backward(dy);
+  Tensor twice = once;
+  twice += once;
+  EXPECT_TRUE(bit_equal(layer.parameters()[0]->grad, twice));
+}
+
+TEST(DenseLayer, InputGradCanBeSkipped) {
+  util::Rng rng(10);
+  DenseLayer full(4, 3);
+  full.init(rng);
+  DenseLayer first(4, 3, /*input_grad=*/false);
+  for (std::size_t pi = 0; pi < 2; ++pi)
+    first.parameters()[pi]->value = full.parameters()[pi]->value;
+  const Tensor x = random_input(5, 4, rng);
+  const Tensor dy = random_input(5, 3, rng);
+  full.forward(x);
+  first.forward(x);
+  EXPECT_EQ(full.backward(dy).rows(), 5u);
+  EXPECT_TRUE(first.backward(dy).empty());
+  for (std::size_t pi = 0; pi < 2; ++pi)
+    EXPECT_TRUE(bit_equal(full.parameters()[pi]->grad, first.parameters()[pi]->grad));
 }
 
 TEST(EmbeddingBag, MeanPoolsTokenVectors) {
