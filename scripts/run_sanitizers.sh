@@ -53,10 +53,11 @@ for profile in "${PROFILES[@]}"; do
     # Threaded smoke only: skip the serial bulk of the suite under TSan.
     # rpc_test rides along in every lane: the frame-corruption matrix wants
     # ASan/UBSan eyes on the decoder, and the leader/executor loopback tests
-    # are genuinely multi-threaded (TSan).
+    # are genuinely multi-threaded (TSan). session_stream_test builds every
+    # spilled trace chunk on a worker pool.
     cmake --build "$dir" -j "$JOBS" --target concurrency_smoke_test fl_fedbuff_test store_test obs_test \
-      util_thread_pool_test parallel_determinism_test fl_resume_test rpc_test
-    ctest_args+=(-R 'Concurrency|FedBuff|Checkpoint|Obs|ThreadPool|ParallelDeterminism|CrashResume|Frame|Messages|Loopback|UnixSocket|Tcp|LeaderExecutor')
+      util_thread_pool_test parallel_determinism_test fl_resume_test rpc_test session_stream_test
+    ctest_args+=(-R 'Concurrency|FedBuff|Checkpoint|Obs|ThreadPool|ParallelDeterminism|CrashResume|Frame|Messages|Loopback|UnixSocket|Tcp|LeaderExecutor|SessionStream|SessionGenerator')
   else
     cmake --build "$dir" -j "$JOBS"
   fi

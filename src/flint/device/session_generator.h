@@ -59,15 +59,13 @@ inline constexpr std::uint64_t kSessionTraceStreamId = 0x5E551014ull;
 /// tie-break keys make the order a total one for generated traces (a client
 /// never emits two sessions with identical start AND end), so sorts agree
 /// across standard libraries and the k-way streaming merge can reproduce the
-/// materialized order exactly.
-bool session_order(const Session& a, const Session& b);
-
-/// One client's generated trace: its device and its sessions, sorted by
-/// session_order.
-struct ClientSessions {
-  std::size_t device_index = 0;
-  std::vector<Session> sessions;
-};
+/// materialized order exactly. Inline: the sorts and merges of trace
+/// generation call it tens of millions of times.
+inline bool session_order(const Session& a, const Session& b) {
+  if (a.start != b.start) return a.start < b.start;
+  if (a.client_id != b.client_id) return a.client_id < b.client_id;
+  return a.end < b.end;
+}
 
 /// Per-client session sampler. All randomness for client `c` comes from
 /// derive_stream(trace_seed, kSessionTraceStreamId, c), so clients can be
@@ -78,9 +76,17 @@ class SessionTraceSampler {
   SessionTraceSampler(const SessionGeneratorConfig& config, const DeviceCatalog& catalog,
                       std::uint64_t trace_seed);
 
-  /// Generate client `client_id`'s full trace (sessions sorted by
-  /// session_order, all within [0, days*86400)).
-  ClientSessions client(std::uint64_t client_id) const;
+  /// Append client `client_id`'s trace to `out` in generation order (not
+  /// sorted; every session within [0, days*86400)) and return its device
+  /// index. Callers gather many clients and sort them together by
+  /// session_order, a total order, so the order of the gathering does not
+  /// matter.
+  std::size_t append_client(std::uint64_t client_id, std::vector<Session>& out) const;
+
+  /// An upper bound on the mean sessions per client: the mean daily count
+  /// summed over the horizon, every session counted as split. Sizes the
+  /// buffers of callers that gather many clients; never affects a draw.
+  double expected_sessions_per_client() const;
 
   const SessionGeneratorConfig& config() const { return config_; }
   /// Trace horizon in seconds: days * 86400.
@@ -90,7 +96,8 @@ class SessionTraceSampler {
   SessionGeneratorConfig config_;
   const DeviceCatalog* catalog_;
   std::uint64_t trace_seed_;
-  std::vector<double> slot_weights_;
+  util::CategoricalTable timezones_;  ///< draws an index into timezone_offsets_h
+  util::CategoricalTable slots_;      ///< 48 half-hour slots of diurnal_weight
   util::LognormalParams duration_params_;
 };
 

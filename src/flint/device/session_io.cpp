@@ -66,6 +66,8 @@ namespace {
 
 constexpr std::uint64_t kChunkMagic = 0x464C534E43484Bull;  // "FLSNCHK"
 constexpr std::size_t kRecordBytes = 8 + 8 + 8 + 8 + 8 + 1;
+/// Records a writer packs before handing them to the stream in one write.
+constexpr std::size_t kWriteBatchRecords = 1024;
 
 void pack_session(const Session& s, char* rec) {
   std::uint64_t client = s.client_id;
@@ -112,7 +114,9 @@ std::uint64_t read_u64(std::ifstream& in) {
 }  // namespace
 
 SessionChunkWriter::SessionChunkWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path),
+      out_(path, std::ios::binary | std::ios::trunc),
+      batch_(kWriteBatchRecords * kRecordBytes) {
   FLINT_CHECK_MSG(out_.good(), "cannot write session chunk " << path_);
   write_u64(out_, kChunkMagic);
   write_u64(out_, 0);  // count, patched by finish()
@@ -124,15 +128,21 @@ SessionChunkWriter::~SessionChunkWriter() {
 
 void SessionChunkWriter::add(const Session& s) {
   FLINT_CHECK_MSG(!finished_, "add() after finish() on chunk " << path_);
-  char rec[kRecordBytes];
-  pack_session(s, rec);
-  out_.write(rec, kRecordBytes);
+  if (batch_used_ == batch_.size()) flush_batch();
+  pack_session(s, batch_.data() + batch_used_);
+  batch_used_ += kRecordBytes;
   ++count_;
+}
+
+void SessionChunkWriter::flush_batch() {
+  out_.write(batch_.data(), static_cast<std::streamsize>(batch_used_));
+  batch_used_ = 0;
 }
 
 void SessionChunkWriter::finish() {
   if (finished_) return;
   finished_ = true;
+  flush_batch();
   out_.seekp(8);
   write_u64(out_, static_cast<std::uint64_t>(count_));
   out_.flush();

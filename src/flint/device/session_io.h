@@ -43,8 +43,12 @@ class SessionChunkWriter {
   std::size_t count() const { return count_; }
 
  private:
+  void flush_batch();
+
   std::string path_;
   std::ofstream out_;
+  std::vector<char> batch_;  ///< packed records not yet handed to out_
+  std::size_t batch_used_ = 0;
   std::size_t count_ = 0;
   bool finished_ = false;
 };

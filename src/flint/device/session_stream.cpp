@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <queue>
 #include <vector>
 
 #include "flint/device/session_io.h"
 #include "flint/util/check.h"
+#include "flint/util/thread_pool.h"
 
 namespace flint::device {
 
@@ -39,34 +41,21 @@ class ChunkedSpillSessionStream : public SessionStream {
     fs::path base = config.spill_dir.empty() ? fs::temp_directory_path() : fs::path(config.spill_dir);
     spill_dir_ = base / ("flint-sessions-" + std::to_string(::getpid()) + "-" +
                          std::to_string(dir_counter.fetch_add(1)));
-    fs::create_directories(spill_dir_);
+    std::error_code ec;
+    fs::create_directories(spill_dir_, ec);
+    FLINT_CHECK_MSG(!ec, "cannot create spill directory " << spill_dir_.string() << ": "
+                                                          << ec.message());
 
-    const std::size_t per_chunk = std::max<std::size_t>(1, config.clients_per_chunk);
-    std::vector<Session> chunk;
-    for (std::size_t begin = 0; begin < clients_; begin += per_chunk) {
-      std::size_t end = std::min(clients_, begin + per_chunk);
-      chunk.clear();
-      for (std::size_t c = begin; c < end; ++c) {
-        ClientSessions cs = sampler_.client(c);
-        chunk.insert(chunk.end(), cs.sessions.begin(), cs.sessions.end());
-      }
-      std::sort(chunk.begin(), chunk.end(), session_order);
-      std::string path = (spill_dir_ / ("chunk-" + std::to_string(paths_.size()) + ".bin")).string();
-      SessionChunkWriter writer(path);
-      for (const auto& s : chunk) writer.add(s);
-      writer.finish();
-      paths_.push_back(path);
-    }
-
-    // Cap total read-back memory, not per-reader memory: with k chunks each
-    // reader gets budget/k sessions (floor 64), so the merge working set
-    // stays O(read_buffer_sessions) however large the population — growing
-    // the population only shrinks each reader's buffer.
-    const std::size_t per_reader = std::max<std::size_t>(
-        64, config.read_buffer_sessions / std::max<std::size_t>(1, paths_.size()));
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-      readers_.push_back(std::make_unique<SessionChunkReader>(paths_[i], per_reader));
-      if (auto s = readers_.back()->next()) heap_.push(MergeEntry{*s, i});
+    // A constructor that throws never reaches the destructor, so clean up
+    // here. spill() has joined its workers by the time anything reaches
+    // this handler.
+    try {
+      spill(std::max<std::size_t>(1, config.clients_per_chunk));
+      open_readers(config.read_buffer_sessions);
+    } catch (...) {
+      readers_.clear();
+      fs::remove_all(spill_dir_, ec);
+      throw;
     }
   }
 
@@ -88,6 +77,92 @@ class ChunkedSpillSessionStream : public SessionStream {
   double horizon() const override { return sampler_.horizon(); }
 
  private:
+  using Run = std::vector<Session>;
+
+  /// Generate and spill the chunks one after another, in index order. Within
+  /// a chunk of n clients, worker w of T generates the sub-range
+  /// [begin + n·w/T, begin + n·(w+1)/T) into its own run and sorts it; this
+  /// thread then merges the T sorted runs straight into the chunk file. The
+  /// runs hold disjoint clients and session_order is a total order, so every
+  /// chunk file is the same whatever T is, and at most one chunk's sessions
+  /// are in memory at a time.
+  void spill(std::size_t per_chunk) {
+    const std::size_t workers = std::min(util::ThreadPool::hardware_threads(), per_chunk);
+    // The runs are allocated here, on the constructing thread, and reused for
+    // every chunk: memory a worker freed into its own malloc arena would never
+    // serve the run phase. The reserve covers a sub-range's expected sessions
+    // with a margin, so the workers do not reallocate in practice.
+    const double per_worker = static_cast<double>((per_chunk + workers - 1) / workers);
+    const auto reserve = static_cast<std::size_t>(
+        1.1 * per_worker * sampler_.expected_sessions_per_client() + 64.0);
+    std::vector<Run> runs(workers);
+    for (auto& run : runs) run.reserve(reserve);
+
+    // Declared after the runs, so unwinding joins the workers before the runs
+    // are freed. One pool serves every chunk.
+    util::ThreadPool pool(workers);
+    std::vector<std::future<void>> done;
+    for (std::size_t begin = 0; begin < clients_; begin += per_chunk) {
+      const std::size_t n = std::min(clients_ - begin, per_chunk);
+      done.clear();
+      for (std::size_t w = 0; w < workers; ++w) {
+        const std::size_t lo = begin + n * w / workers;
+        const std::size_t hi = begin + n * (w + 1) / workers;
+        done.push_back(pool.submit([this, &run = runs[w], lo, hi] {
+          run.clear();
+          for (std::size_t c = lo; c < hi; ++c) sampler_.append_client(c, run);
+          std::sort(run.begin(), run.end(), session_order);
+        }));
+      }
+      // Every worker finishes before the first error (by worker index) is
+      // rethrown, so no worker outlives a failed chunk.
+      for (auto& f : done) f.wait();
+      for (auto& f : done) f.get();
+      write_chunk(runs);
+    }
+  }
+
+  /// K-way merge of the sorted runs into the next chunk file.
+  void write_chunk(const std::vector<Run>& runs) {
+    struct Cursor {
+      const Session* at;
+      const Session* end;
+    };
+    // A min-heap on the head sessions (std heaps keep the maximum on top).
+    auto after = [](const Cursor& a, const Cursor& b) { return session_order(*b.at, *a.at); };
+    std::vector<Cursor> heads;
+    for (const Run& run : runs)
+      if (!run.empty()) heads.push_back(Cursor{run.data(), run.data() + run.size()});
+    std::make_heap(heads.begin(), heads.end(), after);
+
+    std::string path = (spill_dir_ / ("chunk-" + std::to_string(paths_.size()) + ".bin")).string();
+    SessionChunkWriter writer(path);
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), after);
+      Cursor& top = heads.back();
+      writer.add(*top.at);
+      if (++top.at == top.end)
+        heads.pop_back();
+      else
+        std::push_heap(heads.begin(), heads.end(), after);
+    }
+    writer.finish();
+    paths_.push_back(path);
+  }
+
+  void open_readers(std::size_t read_buffer_sessions) {
+    // Cap total read-back memory, not per-reader memory: with k chunks each
+    // reader gets budget/k sessions (floor 64), so the merge working set
+    // stays O(read_buffer_sessions) however large the population — growing
+    // the population only shrinks each reader's buffer.
+    const std::size_t per_reader =
+        std::max<std::size_t>(64, read_buffer_sessions / std::max<std::size_t>(1, paths_.size()));
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      readers_.push_back(std::make_unique<SessionChunkReader>(paths_[i], per_reader));
+      if (auto s = readers_.back()->next()) heap_.push(MergeEntry{*s, i});
+    }
+  }
+
   struct MergeEntry {
     Session s;
     std::size_t chunk;
@@ -114,24 +189,14 @@ class ChunkedSpillSessionStream : public SessionStream {
 
 std::unique_ptr<SessionStream> make_session_stream(const SessionStreamConfig& config,
                                                    const DeviceCatalog& catalog, util::Rng& rng) {
-  // Mirror generate_sessions exactly: one rng draw seeds the trace, then all
-  // per-client randomness comes from derived substreams. Equal rng states
-  // therefore give equal traces on either path.
-  std::uint64_t trace_seed = rng.next_u64();
-  const std::size_t clients = config.generator.clients;
-  if (clients > config.clients_per_chunk)
-    return std::make_unique<ChunkedSpillSessionStream>(config, catalog, trace_seed);
-
-  SessionTraceSampler sampler(config.generator, catalog, trace_seed);
-  SessionLog log;
-  log.client_device.resize(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    ClientSessions cs = sampler.client(c);
-    log.client_device[c] = cs.device_index;
-    log.sessions.insert(log.sessions.end(), cs.sessions.begin(), cs.sessions.end());
+  // Both paths consume exactly one rng draw, the trace seed, and derive all
+  // per-client randomness from it, so equal rng states give equal traces.
+  if (config.generator.clients <= config.clients_per_chunk) {
+    SessionLog log = generate_sessions(config.generator, catalog, rng);
+    return std::make_unique<MaterializedSessionStream>(
+        std::move(log), static_cast<double>(config.generator.days) * kSecondsPerDay);
   }
-  std::sort(log.sessions.begin(), log.sessions.end(), session_order);
-  return std::make_unique<MaterializedSessionStream>(std::move(log), sampler.horizon());
+  return std::make_unique<ChunkedSpillSessionStream>(config, catalog, rng.next_u64());
 }
 
 }  // namespace flint::device

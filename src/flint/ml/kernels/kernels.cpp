@@ -65,9 +65,16 @@ void install(const std::string& spec) {
 }
 
 void resolve_if_needed() {
-  if (g_dispatch.resolved) return;
-  const char* env = std::getenv("FLINT_KERNELS");
-  install(env != nullptr && env[0] != '\0' ? std::string(env) : std::string("auto"));
+  // A function-local static: threads that make the first call concurrently
+  // (parallel runs that never called set_path) resolve once, and every
+  // caller's later reads of g_dispatch are ordered after that resolution.
+  static const bool resolved = [] {
+    if (g_dispatch.resolved) return true;
+    const char* env = std::getenv("FLINT_KERNELS");
+    install(env != nullptr && env[0] != '\0' ? std::string(env) : std::string("auto"));
+    return true;
+  }();
+  (void)resolved;
 }
 
 }  // namespace

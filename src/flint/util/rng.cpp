@@ -293,32 +293,44 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
+CategoricalTable::CategoricalTable(const std::vector<double>& weights) {
+  FLINT_CHECK(!weights.empty());
+  cumulative_.reserve(weights.size());
+  double acc = 0.0;
+  for (double w : weights) {
+    FLINT_CHECK(w >= 0.0);
+    acc += w;
+    cumulative_.push_back(acc);
+  }
+  FLINT_CHECK_MSG(acc > 0.0, "categorical weights sum to zero");
+}
+
+std::size_t CategoricalTable::sample(Rng& rng) const {
+  double u = rng.uniform(0.0, cumulative_.back());
+  // First index whose cumulative weight reaches u (the weights are
+  // non-negative, so the sums are sorted); the last index if rounding put u
+  // above them all.
+  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
+  if (it == cumulative_.end()) return cumulative_.size() - 1;
+  return static_cast<std::size_t>(it - cumulative_.begin());
+}
+
 ZipfTable::ZipfTable(std::size_t n, double s) : n_(n) {
   FLINT_CHECK_GT(n, std::size_t{0});
   FLINT_CHECK_FINITE(s);
   // Near-zero exponents make every 1/i^s weight ~1; sample() draws the exact
   // uniform instead of accumulating n pow() round-off errors.
   if (n == 1 || std::abs(s) < 1e-12) return;
-  // Inverse CDF over the harmonic weights, summed in rank order.
-  cumulative_.resize(n);
-  double acc = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    cumulative_[i - 1] = acc;
-  }
+  std::vector<double> weights(n);
+  for (std::size_t i = 1; i <= n; ++i) weights[i - 1] = 1.0 / std::pow(static_cast<double>(i), s);
+  table_.emplace(weights);
 }
 
 std::size_t ZipfTable::sample(Rng& rng) const {
   if (n_ == 1) return 0;
-  if (cumulative_.empty())
+  if (!table_)
     return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n_) - 1));
-  double u = rng.uniform(0.0, cumulative_.back());
-  // First rank whose cumulative weight reaches u (the weights are
-  // non-negative, so the sums are sorted); the last rank if rounding put u
-  // above them all.
-  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  if (it == cumulative_.end()) return n_ - 1;
-  return static_cast<std::size_t>(it - cumulative_.begin());
+  return table_->sample(rng);
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {

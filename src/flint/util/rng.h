@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,6 +120,8 @@ class Rng {
   std::vector<double> dirichlet(const std::vector<double>& alphas);
 
   /// Index drawn from a discrete distribution proportional to weights.
+  /// Callers drawing repeatedly from fixed weights should keep a
+  /// CategoricalTable instead: same draws, O(log n) each.
   std::size_t categorical(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle.
@@ -148,11 +151,27 @@ class Rng {
   std::uint64_t seed_;
 };
 
-/// Zipf over ranks [0, n) with exponent s: the cumulative 1/i^s weights,
-/// precomputed once, so each draw is one uniform plus a binary search
-/// (O(log n)). Draws equal the inverse-CDF linear scan over the same
-/// weights exactly: the table sums them in the same order, and the search
-/// finds the same first rank whose cumulative weight reaches the uniform.
+/// A discrete distribution proportional to fixed weights, as a precomputed
+/// inverse CDF: the weights are validated and summed once, so each draw is
+/// one uniform plus a binary search (O(log n)) instead of Rng::categorical's
+/// O(n) re-sum and re-check. Draws equal Rng::categorical's over the same
+/// weights exactly: the table sums them in the same order, draws the same
+/// uniform(0, total), and finds the same first index whose cumulative
+/// weight reaches it.
+class CategoricalTable {
+ public:
+  /// Requires a non-empty vector of non-negative weights with a positive sum.
+  explicit CategoricalTable(const std::vector<double>& weights);
+
+  std::size_t sample(Rng& rng) const;
+
+ private:
+  std::vector<double> cumulative_;
+};
+
+/// Zipf over ranks [0, n) with exponent s: a CategoricalTable over the
+/// 1/i^s weights in rank order, so each draw equals the inverse-CDF linear
+/// scan over the same weights. Near-zero exponents draw the exact uniform.
 class ZipfTable {
  public:
   ZipfTable(std::size_t n, double s);
@@ -161,7 +180,7 @@ class ZipfTable {
 
  private:
   std::size_t n_;
-  std::vector<double> cumulative_;  ///< empty when draws are uniform (n == 1 or s ~ 0)
+  std::optional<CategoricalTable> table_;  ///< empty when draws are uniform (n == 1 or s ~ 0)
 };
 
 /// SplitMix64 hash step; useful for deriving per-entity seeds from ids.

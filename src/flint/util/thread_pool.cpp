@@ -34,6 +34,11 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+std::size_t ThreadPool::hardware_threads() {
+  unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 std::size_t ThreadPool::worker_index() { return tls_worker_index; }
 
 const ThreadPool* ThreadPool::current_pool() { return tls_pool; }

@@ -55,6 +55,11 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// The hardware's thread count (std::thread::hardware_concurrency()), or 1
+  /// where that is unknown. Callers that size a pool to the machine use this
+  /// rather than touching std::thread themselves.
+  static std::size_t hardware_threads();
+
   /// Enqueue `fn`; the future resolves once it has run (exceptions propagate
   /// through the future). Safe to call from any thread, including workers —
   /// but a worker blocking on a future of a task queued behind it deadlocks,

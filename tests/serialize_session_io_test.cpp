@@ -141,9 +141,10 @@ TEST(SessionIo, BinaryChunkRoundTripIsBitExact) {
   util::Rng rng(61);
   auto catalog = device::DeviceCatalog::standard();
   device::SessionGeneratorConfig cfg;
-  cfg.clients = 50;
+  cfg.clients = 400;  // ~2,600 sessions: the writer flushes several full batches
   cfg.days = 2;
   auto log = device::generate_sessions(cfg, catalog, rng);
+  ASSERT_GT(log.sessions.size(), 2048u);
 
   std::string path = (dir / "chunk.bin").string();
   {

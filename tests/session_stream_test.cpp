@@ -7,10 +7,13 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "flint/device/availability.h"
 #include "flint/device/session_stream.h"
 #include "flint/sim/scheduler.h"
+#include "flint/util/check.h"
 #include "test_helpers.h"
 
 namespace flint {
@@ -152,25 +155,77 @@ TEST(SessionStream, InMemoryStreamMatchesMaterializedLog) {
   EXPECT_FALSE(stream->next().has_value());  // stays exhausted
 }
 
+std::vector<device::Session> drain(device::SessionStream& stream) {
+  std::vector<device::Session> out;
+  while (auto s = stream.next()) out.push_back(*s);
+  return out;
+}
+
 TEST(SessionStream, SpilledStreamMatchesMaterializedLog) {
+  // Every population exceeds its chunk size, forcing spill + k-way merge.
+  // Each chunk is built by the worker pool, one client sub-range per worker:
+  // populations and chunk sizes that are not multiples of the worker count
+  // leave some workers an empty sub-range, and one-client chunks leave all
+  // but one empty.
+  auto catalog = device::DeviceCatalog::standard();
+  for (std::size_t clients : {13, 203, 400}) {
+    device::SessionGeneratorConfig gen = small_config();
+    gen.clients = clients;
+    util::Rng rng_log(56);
+    auto log = device::generate_sessions(gen, catalog, rng_log);
+    for (std::size_t per_chunk : {1, 2, 7, 64}) {
+      device::SessionStreamConfig cfg;
+      cfg.generator = gen;
+      cfg.clients_per_chunk = per_chunk;
+      cfg.read_buffer_sessions = 128;  // tiny budget -> per-reader floor kicks in
+      util::Rng rng(56);
+      auto stream = device::make_session_stream(cfg, catalog, rng);
+      auto streamed = drain(*stream);
+      ASSERT_EQ(streamed.size(), log.sessions.size()) << clients << " clients, chunk " << per_chunk;
+      for (std::size_t i = 0; i < streamed.size(); ++i)
+        expect_session_eq(streamed[i], log.sessions[i]);
+      EXPECT_FALSE(stream->next().has_value());
+    }
+  }
+}
+
+TEST(SessionStream, SpilledStreamMatchesGoldenHash) {
+  // FixedSeedTraceMatchesGoldenHash's trace, built chunk by chunk on the
+  // worker pool and merged back from disk.
+  auto catalog = device::DeviceCatalog::standard();
+  device::SessionStreamConfig cfg;
+  cfg.generator.clients = 64;
+  cfg.generator.days = 2;
+  cfg.clients_per_chunk = 7;
+  util::Rng rng(4242);
+  auto stream = device::make_session_stream(cfg, catalog, rng);
+  EXPECT_EQ(fnv1a_session_hash(drain(*stream)), 0x92099c9f71ddbdbdull);
+}
+
+TEST(SessionStream, SpillDirThatIsAFileThrowsCheckErrorAndLeavesNothing) {
+  auto base = fs::temp_directory_path() / "flint_session_stream_file_test";
+  fs::remove_all(base);
+  fs::create_directories(base);
+  const fs::path file = base / "not-a-directory";
+  { std::ofstream(file) << "x"; }
+
   auto catalog = device::DeviceCatalog::standard();
   device::SessionStreamConfig cfg;
   cfg.generator = small_config();
-  cfg.clients_per_chunk = 64;  // force spill + k-way merge: 400/64 -> 7 chunks
-  cfg.read_buffer_sessions = 128;  // tiny budget -> per-reader floor kicks in
-
-  util::Rng rng_a(56);
-  util::Rng rng_b(56);
-  auto log = device::generate_sessions(cfg.generator, catalog, rng_a);
-  auto stream = device::make_session_stream(cfg, catalog, rng_b);
-
-  std::size_t i = 0;
-  while (auto s = stream->next()) {
-    ASSERT_LT(i, log.sessions.size());
-    expect_session_eq(*s, log.sessions[i]);
-    ++i;
+  cfg.clients_per_chunk = 64;
+  cfg.spill_dir = file.string();
+  util::Rng rng(61);
+  try {
+    device::make_session_stream(cfg, catalog, rng);
+    ADD_FAILURE() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos) << e.what();
   }
-  EXPECT_EQ(i, log.sessions.size());
+  // Only the file itself is left, untouched.
+  EXPECT_TRUE(fs::is_regular_file(file));
+  EXPECT_EQ(fs::file_size(file), 1u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(base), fs::directory_iterator()), 1);
+  fs::remove_all(base);
 }
 
 TEST(SessionStream, SpillDirectoryIsRemovedOnDestruction) {

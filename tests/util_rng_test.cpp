@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <sstream>
 
@@ -201,6 +202,60 @@ TEST(Rng, CategoricalRejectsZeroTotal) {
   Rng rng(43);
   std::vector<double> w = {0.0, 0.0};
   EXPECT_THROW(rng.categorical(w), CheckError);
+}
+
+// --- CategoricalTable: the precomputed inverse CDF against Rng::categorical.
+
+TEST(CategoricalTable, MatchesCategoricalDrawForDraw) {
+  const std::vector<std::vector<double>> cases = {
+      {1.0},
+      {0.0, 2.5},
+      {1.0, 0.0, 3.0},
+      {0.75, 0.15, 0.10},
+      {0.0, 0.0, 1e-300, 4.0, 0.0},
+      {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0, 9.0, 7.0, 9.0, 0.0},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    CategoricalTable table(cases[k]);
+    for (std::uint64_t seed : {1ull, 42ull, 977ull, 0xdeadbeefull}) {
+      Rng a(seed), b(seed);
+      for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(table.sample(b), a.categorical(cases[k])) << "case " << k << " seed " << seed
+                                                            << " draw " << i;
+    }
+  }
+}
+
+TEST(CategoricalTable, DrawOnACumulativeBoundaryPicksTheFirstIndexReachingIt) {
+  // Weights whose first positive cumulative sum is exactly a uniform(0, 1)
+  // draw: both samplers must return the first index whose sum reaches it,
+  // past a leading zero weight and before a trailing one.
+  for (std::uint64_t seed : {3ull, 5ull, 8ull, 13ull}) {
+    // Draws in [0.5, 1) keep 1 - u exact, so the weights sum to exactly 1.
+    Rng peek(seed);
+    int skipped = 0;
+    double u = peek.uniform(0.0, 1.0);
+    for (; u < 0.5; ++skipped) u = peek.uniform(0.0, 1.0);
+    for (const std::vector<double>& w : {std::vector<double>{u, 1.0 - u},
+                                         std::vector<double>{u, 0.0, 1.0 - u},
+                                         std::vector<double>{0.0, u, 1.0 - u}}) {
+      ASSERT_EQ(std::accumulate(w.begin(), w.end(), 0.0), 1.0);
+      const std::size_t boundary = w[0] == 0.0 ? 1 : 0;
+      Rng a(seed), b(seed);
+      for (int i = 0; i < skipped; ++i) {
+        a.uniform(0.0, 1.0);
+        b.uniform(0.0, 1.0);
+      }
+      EXPECT_EQ(a.categorical(w), boundary) << "seed " << seed;
+      EXPECT_EQ(CategoricalTable(w).sample(b), boundary) << "seed " << seed;
+    }
+  }
+}
+
+TEST(CategoricalTable, RejectsEmptyNegativeAndZeroTotalWeights) {
+  EXPECT_THROW(CategoricalTable(std::vector<double>{}), CheckError);
+  EXPECT_THROW(CategoricalTable(std::vector<double>{1.0, -0.5}), CheckError);
+  EXPECT_THROW(CategoricalTable(std::vector<double>{0.0, 0.0}), CheckError);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
