@@ -1,7 +1,7 @@
 // Compression accuracy gate: proves the quantized wire formats (DESIGN.md
 // §16) do not meaningfully hurt model quality. Runs the same FedBuff job
 // three times — raw float32 updates, int8 symmetric quantization, and top-25%
-// sparsification with error feedback — and compares the final held-out eval
+// sparsification — and compares the final held-out eval
 // loss of each compressed run against the f32 reference.
 //
 // Unlike the other benches this one is also a correctness gate (registered

@@ -10,10 +10,12 @@
 // too, and one whole LocalTrainer pass (`kernels.local_sgd_mlp`).
 // A second hand-timed sweep measures util::Rng against std::mt19937_64:
 // `rng.derive_speedup_vs_std` (a derived stream plus 4 draws) and
-// `rng.draw_ratio_vs_std` (per-draw cost of a long stream), both gated by
-// tools/check_kernel_speedup.py.
+// `rng.draw_ratio_vs_std` (per-draw cost of a long stream, the median of 7
+// interleaved timings per side), both gated by tools/check_kernel_speedup.py
+// on a build without -march=native.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <random>
 
@@ -197,6 +199,27 @@ double time_best_s(F&& fn, int reps, int rounds = 7) {
     if (s < best) best = s;
   }
   return best / reps;
+}
+
+/// Median wall seconds of one call of `a` and of `b` over `rounds` timings
+/// each, interleaved so both sides see the same machine drift.
+template <typename A, typename B>
+std::pair<double, double> time_median_pair_s(A&& a, B&& b, int rounds) {
+  auto once = [](auto& fn) {
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  std::vector<double> ta, tb;
+  for (int r = 0; r < rounds; ++r) {
+    ta.push_back(once(a));
+    tb.push_back(once(b));
+  }
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ta), median(tb)};
 }
 
 struct KernelCase {
@@ -448,6 +471,7 @@ void run_local_sgd_sweep(flint::bench::BenchArtifact& artifact) {
 constexpr int kDerivedStreams = 1000;  // streams per timed call
 constexpr int kDrawsPerStream = 4;
 constexpr int kLongStreamDraws = 10'000'000;
+constexpr int kLongStreamRounds = 7;  // timings per side, median reported
 
 /// The seed derive_stream(seed, stream) keys its engine with (substream 0).
 std::uint64_t derived_key(std::uint64_t seed, std::uint64_t stream) {
@@ -480,22 +504,22 @@ void run_rng_sweep(flint::bench::BenchArtifact& artifact) {
   double derive_ns = flint_s / kDerivedStreams * 1e9;
   double std_derive_ns = std_s / kDerivedStreams * 1e9;
 
-  double flint_draw_s = time_best_s(
+  // Median of kLongStreamRounds interleaved timings per side: one slow
+  // round on a shared machine must not decide the ratio.
+  auto [flint_draw_s, std_draw_s] = time_median_pair_s(
       [] {
         util::Rng rng(1);
         std::uint64_t acc = 0;
         for (int i = 0; i < kLongStreamDraws; ++i) acc += rng.next_u64();
         benchmark::DoNotOptimize(acc);
       },
-      1, 3);
-  double std_draw_s = time_best_s(
       [] {
         std::mt19937_64 engine(1);  // flint-lint: allow(rng): long-stream reference engine
         std::uint64_t acc = 0;
         for (int i = 0; i < kLongStreamDraws; ++i) acc += engine();
         benchmark::DoNotOptimize(acc);
       },
-      1, 3);
+      kLongStreamRounds);
 
   double derive_speedup = std_derive_ns / derive_ns;
   double draw_ratio = std_draw_s / flint_draw_s;

@@ -132,7 +132,7 @@ int main() {
   }
 
   // -- 5. Security and privacy: TEE bandwidth budget. ----------------------
-  privacy::TeeSecureAggregator tee(privacy::TeeConfig{}, 1);
+  privacy::TeeSecureAggregator tee(privacy::TeeConfig{});
   double mbps = tee.required_mbytes_per_s(result.forecast.updates_per_second, 760'000);
   std::cout << "[security] TEE ingress needed: " << mbps << " MB/s -> "
             << (tee.within_capacity(result.forecast.updates_per_second, 760'000)

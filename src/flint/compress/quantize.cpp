@@ -63,24 +63,6 @@ std::vector<float> densify(const SparseUpdate& s) {
   return out;
 }
 
-ErrorFeedback::ErrorFeedback(std::size_t dim) : residual_(dim, 0.0f) {
-  FLINT_CHECK(dim > 0);
-}
-
-SparseUpdate ErrorFeedback::compress(std::span<const float> update, std::size_t k) {
-  FLINT_CHECK_MSG(update.size() == residual_.size(),
-                  "update dim " << update.size() << " != feedback dim " << residual_.size());
-  std::vector<float> corrected(update.begin(), update.end());
-  ml::kernels::active().add(corrected.data(), residual_.data(), corrected.size());
-  SparseUpdate s = top_k_sparsify(corrected, k);
-  // New residual: what the sparsification dropped.
-  residual_ = std::move(corrected);
-  for (std::size_t i = 0; i < s.indices.size(); ++i) residual_[s.indices[i]] = 0.0f;
-  return s;
-}
-
-void ErrorFeedback::reset() { std::fill(residual_.begin(), residual_.end(), 0.0f); }
-
 std::size_t apply_compression(std::vector<float>& update, const CompressionConfig& config) {
   switch (config.kind) {
     case CompressionKind::kNone:

@@ -2,7 +2,7 @@
 // models are linear in the update size M (taskDuration(k) = t*E*|D_k| + 2M/N,
 // §3.4-3.5), and §4.2 surveys embedding-compression techniques — so FLINT
 // ships the standard update compressors: symmetric int8 quantization and
-// top-k sparsification with client-side error feedback.
+// top-k sparsification.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +44,6 @@ SparseUpdate top_k_sparsify(std::span<const float> update, std::size_t k);
 
 /// Expand back to a dense vector (zeros elsewhere).
 std::vector<float> densify(const SparseUpdate& s);
-
-/// Client-side error feedback (Seide et al. / Karimireddy et al.): the
-/// residual each compression step drops is added back before the next
-/// compression, so the error stays bounded instead of accumulating.
-class ErrorFeedback {
- public:
-  explicit ErrorFeedback(std::size_t dim);
-
-  /// Compress `update + residual` to top-k; store the new residual.
-  SparseUpdate compress(std::span<const float> update, std::size_t k);
-
-  const std::vector<float>& residual() const { return residual_; }
-  void reset();
-
- private:
-  std::vector<float> residual_;
-};
 
 /// How a run compresses client updates.
 enum class CompressionKind {

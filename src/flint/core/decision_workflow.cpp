@@ -56,8 +56,6 @@ void DecisionWorkflow::set_stage(Stage stage, StageFn fn) {
   stages_[stage] = std::move(fn);
 }
 
-bool DecisionWorkflow::has_stage(Stage stage) const { return stages_.count(stage) > 0; }
-
 DecisionReport DecisionWorkflow::run() const {
   DecisionReport report;
   for (Stage stage : canonical_order()) {

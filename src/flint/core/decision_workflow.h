@@ -66,8 +66,6 @@ class DecisionWorkflow {
   /// Register (or replace) the callback for a stage.
   void set_stage(Stage stage, StageFn fn);
 
-  bool has_stage(Stage stage) const;
-
   /// Run all registered stages in order. Stops at the first kBlock.
   DecisionReport run() const;
 

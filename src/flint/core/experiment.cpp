@@ -39,16 +39,4 @@ TrialSummary run_trials_fedbuff(const fl::AsyncConfig& base, int n) {
   return summarize_trials(std::move(trials));
 }
 
-TrialSummary run_trials_fedavg(const fl::SyncConfig& base, int n) {
-  FLINT_CHECK(n >= 1);
-  std::vector<fl::RunResult> trials;
-  trials.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    fl::SyncConfig cfg = base;
-    cfg.inputs.seed = base.inputs.seed + static_cast<std::uint64_t>(i);
-    trials.push_back(fl::run_fedavg(cfg));
-  }
-  return summarize_trials(std::move(trials));
-}
-
 }  // namespace flint::core

@@ -26,9 +26,6 @@ struct TrialSummary {
 /// Run `n` FedBuff trials; trial i uses seed base.inputs.seed + i.
 TrialSummary run_trials_fedbuff(const fl::AsyncConfig& base, int n);
 
-/// Run `n` FedAvg trials; trial i uses seed base.inputs.seed + i.
-TrialSummary run_trials_fedavg(const fl::SyncConfig& base, int n);
-
 /// Summarize pre-computed results (exposed for custom sweeps).
 TrialSummary summarize_trials(std::vector<fl::RunResult> trials);
 

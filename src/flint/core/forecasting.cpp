@@ -47,7 +47,7 @@ ResourceForecast forecast_resources(const fl::RunResult& result, const ForecastC
   f.device_energy_kwh = f.total_client_compute_h * config.device_watts / 1000.0;
 
   f.updates_per_second = result.updates_per_second() * scale;
-  privacy::TeeSecureAggregator tee(config.tee, 1);
+  privacy::TeeSecureAggregator tee(config.tee);
   f.aggregation_mbytes_per_s =
       tee.required_mbytes_per_s(f.updates_per_second, config.update_bytes);
   f.fits_tee = tee.within_capacity(f.updates_per_second, config.update_bytes);

@@ -52,8 +52,6 @@ CaseStudyResult FlintPlatform::evaluate_case_study(const data::FederatedTask& ta
   auto curve =
       fl::train_centralized(*centralized_model, task, central_cfg, centralized_epochs, rng_);
   result.centralized_metric = curve.back();
-  model_store_.put("centralized/" + std::string(data::domain_name(task.config.domain)),
-                   centralized_model->get_flat_parameters(), "baseline");
 
   // FL trials under the measured constraints; each trial's runner sees the
   // platform telemetry through its RunInputs.
@@ -67,13 +65,10 @@ CaseStudyResult FlintPlatform::evaluate_case_study(const data::FederatedTask& ta
   result.performance_diff_pct =
       (result.fl_metric - result.centralized_metric) / result.centralized_metric * 100.0;
 
-  // Store the best FL model and forecast resources from the median trial.
+  // Forecast resources from the best trial.
   std::size_t best = 0;
   for (std::size_t i = 1; i < summary.trials.size(); ++i)
     if (summary.trials[i].final_metric > summary.trials[best].final_metric) best = i;
-  model_store_.put("fl/" + std::string(data::domain_name(task.config.domain)),
-                   summary.trials[best].final_parameters, "fedbuff-best",
-                   summary.trials[best].virtual_duration_s);
   result.forecast = forecast_resources(summary.trials[best], forecast_config);
   result.fl_trials = std::move(summary);
   return result;

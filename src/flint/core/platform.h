@@ -1,6 +1,6 @@
 // FlintPlatform: the integration façade (paper Figure 3). One object that
-// wires the shared components — device catalog, data catalog, model store,
-// feature catalog — to the measurement tools and the experimental framework,
+// wires the shared components — device catalog, data catalog, feature
+// catalog — to the measurement tools and the experimental framework,
 // the way the paper's platform augments LinkedIn's centralized ML platform.
 #pragma once
 
@@ -13,7 +13,6 @@
 #include "flint/device/benchmark_harness.h"
 #include "flint/feature/feature_catalog.h"
 #include "flint/obs/telemetry.h"
-#include "flint/store/model_store.h"
 
 namespace flint::core {
 
@@ -37,8 +36,6 @@ class FlintPlatform {
   // --- Shared components (Figure 3). ---
   device::DeviceCatalog& devices() { return devices_; }
   const device::DeviceCatalog& devices() const { return devices_; }
-  data::DataCatalog& data_catalog() { return data_catalog_; }
-  store::ModelStore& model_store() { return model_store_; }
   feature::FeatureCatalog& features() { return features_; }
   util::Rng& rng() { return rng_; }
 
@@ -71,7 +68,7 @@ class FlintPlatform {
 
   /// Full FL-vs-centralized comparison for a task: trains the centralized
   /// baseline, runs `trials` FedBuff trials under the availability trace,
-  /// stores both models, and forecasts resources.
+  /// and forecasts resources from the best trial.
   CaseStudyResult evaluate_case_study(const data::FederatedTask& task,
                                       const fl::AsyncConfig& fl_config, int trials,
                                       int centralized_epochs,
@@ -82,7 +79,6 @@ class FlintPlatform {
   obs::Telemetry* telemetry_ = nullptr;
   device::DeviceCatalog devices_;
   data::DataCatalog data_catalog_;
-  store::ModelStore model_store_;
   feature::FeatureCatalog features_;
 };
 

@@ -41,26 +41,12 @@ const ClientDataset& FederatedDataset::client_at(std::size_t pos) const {
   return clients_[pos];
 }
 
-std::vector<ClientId> FederatedDataset::client_ids() const {
-  std::vector<ClientId> ids;
-  ids.reserve(clients_.size());
-  for (const auto& c : clients_) ids.push_back(c.client_id);
-  return ids;
-}
-
 std::vector<ml::Example> FederatedDataset::to_centralized() const {
   std::vector<ml::Example> out;
   out.reserve(example_count());
   for (const auto& c : clients_)
     out.insert(out.end(), c.examples.begin(), c.examples.end());
   return out;
-}
-
-int ExecutorPartitioning::executor_of(ClientId id) const {
-  for (std::size_t p = 0; p < partitions.size(); ++p)
-    for (ClientId c : partitions[p])
-      if (c == id) return static_cast<int>(p);
-  return -1;
 }
 
 ExecutorPartitioning partition_round_robin(const FederatedDataset& dataset,

@@ -1,6 +1,6 @@
 // Federated dataset containers. A FederatedDataset maps clients to their
 // local examples; ExecutorPartitioning groups clients into per-executor
-// partitions (the paper's §3.4 scalability trick: one partition file per
+// partitions (the paper's §3.4 scalability trick: one partition per
 // executor rather than one file per client).
 #pragma once
 
@@ -45,9 +45,6 @@ class FederatedDataset {
 
   const std::vector<ClientDataset>& clients() const { return clients_; }
 
-  /// All client ids in insertion order.
-  std::vector<ClientId> client_ids() const;
-
   /// Flatten every client's examples into one centralized dataset (the
   /// baseline training path).
   std::vector<ml::Example> to_centralized() const;
@@ -61,11 +58,6 @@ class FederatedDataset {
 struct ExecutorPartitioning {
   /// partition[p] = client ids owned by executor p.
   std::vector<std::vector<ClientId>> partitions;
-
-  std::size_t executor_count() const { return partitions.size(); }
-
-  /// The executor owning a client, or -1 if unassigned.
-  int executor_of(ClientId id) const;
 };
 
 /// Round-robin clients across `executors` partitions (the paper partitions

@@ -8,38 +8,6 @@
 
 namespace flint::data {
 
-int DataCatalog::put(const std::string& name, ProxyEntry entry) {
-  auto& versions = entries_[name];
-  entry.version = static_cast<int>(versions.size()) + 1;
-  versions.push_back(std::move(entry));
-  return versions.back().version;
-}
-
-std::optional<ProxyEntry> DataCatalog::latest(const std::string& name) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.empty()) return std::nullopt;
-  return it->second.back();
-}
-
-std::optional<ProxyEntry> DataCatalog::get(const std::string& name, int version) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return std::nullopt;
-  if (version < 1 || static_cast<std::size_t>(version) > it->second.size()) return std::nullopt;
-  return it->second[static_cast<std::size_t>(version) - 1];
-}
-
-std::size_t DataCatalog::version_count(const std::string& name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? 0 : it->second.size();
-}
-
-std::vector<std::string> DataCatalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, _] : entries_) out.push_back(name);
-  return out;
-}
-
 ProxyEntry ProxyGenerator::generate(const std::vector<ml::Example>& records,
                                     const ProxyConfig& config,
                                     const std::function<std::uint64_t(std::size_t)>& client_key_of,
@@ -63,7 +31,7 @@ ProxyEntry ProxyGenerator::generate(const std::vector<ml::Example>& records,
   entry.config = config;
   entry.stats = compute_stats(dataset, config.name, config.lookback_days);
   entry.dataset = std::make_shared<FederatedDataset>(std::move(dataset));
-  entry.version = catalog_->put(config.name, entry);
+  entry.version = catalog_->add_version(config.name);
   return entry;
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,27 +43,16 @@ struct ProxyEntry {
   DatasetStats stats;
 };
 
-/// Versioned store of proxy datasets ("the tool stores it back to the data
-/// catalog, adding FL-specific metadata"). Supports multiple synthetic-split
-/// versions per name so modelers can sweep heterogeneity.
+/// Version numbering for proxy datasets ("the tool stores it back to the
+/// data catalog, adding FL-specific metadata"): each name gets versions
+/// 1, 2, ... so modelers can sweep heterogeneity under one name.
 class DataCatalog {
  public:
   /// Register a new version of `name`; returns the assigned version number.
-  int put(const std::string& name, ProxyEntry entry);
-
-  /// Latest version, or nullopt.
-  std::optional<ProxyEntry> latest(const std::string& name) const;
-
-  /// Specific version, or nullopt.
-  std::optional<ProxyEntry> get(const std::string& name, int version) const;
-
-  /// Number of versions registered under `name`.
-  std::size_t version_count(const std::string& name) const;
-
-  std::vector<std::string> names() const;
+  int add_version(const std::string& name) { return ++versions_[name]; }
 
  private:
-  std::map<std::string, std::vector<ProxyEntry>> entries_;
+  std::map<std::string, int> versions_;
 };
 
 /// Generates federated proxies from centralized records and registers them.

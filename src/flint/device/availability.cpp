@@ -38,43 +38,14 @@ AvailabilityTrace::AvailabilityTrace(std::vector<AvailabilityWindow> windows)
     FLINT_CHECK_LT(w.start, w.end);
   }
   std::sort(windows_.begin(), windows_.end(), window_order);
-  // Counting-sort construction of the CSR client index: count windows per
-  // client, prefix-sum into offsets, then scatter window indices. Scanning
-  // windows_ in sorted order keeps each client's run sorted by start.
-  std::uint64_t max_client = 0;
-  for (const auto& w : windows_) max_client = std::max(max_client, w.client_id);
-  std::size_t clients = windows_.empty() ? 0 : static_cast<std::size_t>(max_client) + 1;
-  by_client_offsets_.assign(clients + 1, 0);
-  for (const auto& w : windows_) ++by_client_offsets_[w.client_id + 1];
-  for (std::size_t c = 1; c <= clients; ++c) by_client_offsets_[c] += by_client_offsets_[c - 1];
-  by_client_indices_.resize(windows_.size());
-  std::vector<std::size_t> fill(by_client_offsets_.begin(), by_client_offsets_.end() - 1);
-  for (std::size_t i = 0; i < windows_.size(); ++i)
-    by_client_indices_[fill[windows_[i].client_id]++] = i;
 }
 
 std::size_t AvailabilityTrace::client_count() const {
-  std::size_t n = 0;
-  for (std::size_t c = 0; c + 1 < by_client_offsets_.size(); ++c)
-    if (by_client_offsets_[c + 1] > by_client_offsets_[c]) ++n;
-  return n;
-}
-
-std::optional<AvailabilityWindow> AvailabilityTrace::window_at(std::uint64_t client,
-                                                               TraceTime t) const {
-  if (client + 1 >= by_client_offsets_.size()) return std::nullopt;
-  for (std::size_t i = by_client_offsets_[client]; i < by_client_offsets_[client + 1]; ++i) {
-    const auto& w = windows_[by_client_indices_[i]];
-    if (w.start > t) break;  // indices are sorted by start
-    if (t < w.end) return w;
-  }
-  return std::nullopt;
-}
-
-bool AvailabilityTrace::is_available(std::uint64_t client, TraceTime t,
-                                     TraceTime duration) const {
-  auto w = window_at(client, t);
-  return w.has_value() && t + duration <= w->end;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(windows_.size());
+  for (const auto& w : windows_) ids.push_back(w.client_id);
+  std::sort(ids.begin(), ids.end());
+  return static_cast<std::size_t>(std::unique(ids.begin(), ids.end()) - ids.begin());
 }
 
 TraceTime AvailabilityTrace::horizon() const {

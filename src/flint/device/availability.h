@@ -59,12 +59,6 @@ class AvailabilityTrace {
   /// Distinct clients with at least one window.
   std::size_t client_count() const;
 
-  /// Is `client` available during the whole of [t, t+duration)?
-  bool is_available(std::uint64_t client, TraceTime t, TraceTime duration) const;
-
-  /// The window covering time t for this client, if any.
-  std::optional<AvailabilityWindow> window_at(std::uint64_t client, TraceTime t) const;
-
   /// End of the observation period (max window end; 0 when empty).
   TraceTime horizon() const;
 
@@ -77,13 +71,6 @@ class AvailabilityTrace {
 
  private:
   std::vector<AvailabilityWindow> windows_;
-  // CSR layout of client -> indices into windows_ (each run sorted by
-  // start): client c's window indices are by_client_indices_[i] for i in
-  // [by_client_offsets_[c], by_client_offsets_[c+1]). One flat allocation
-  // instead of a vector-of-vectors keeps per-client overhead to 8 bytes at
-  // million-client populations.
-  std::vector<std::size_t> by_client_offsets_;
-  std::vector<std::size_t> by_client_indices_;
 };
 
 class SessionStream;  // session_stream.h

@@ -89,21 +89,6 @@ std::vector<std::size_t> DeviceCatalog::devices_with_os(Os os) const {
   return out;
 }
 
-double DeviceCatalog::os_pass_fraction(int min_os_release) const {
-  double pass = 0.0, total = 0.0;
-  for (const auto& p : profiles_) {
-    total += p.popularity;
-    if (p.os_release >= min_os_release) pass += p.popularity;
-  }
-  return pass / total;
-}
-
-double DeviceCatalog::mean_speed() const {
-  util::RunningStats s;
-  for (const auto& p : profiles_) s.add(p.speed_multiplier);
-  return s.mean();
-}
-
 double DeviceCatalog::stddev_speed() const {
   util::RunningStats s;
   for (const auto& p : profiles_) s.add(p.speed_multiplier);

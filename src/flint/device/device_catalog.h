@@ -22,7 +22,6 @@ class DeviceCatalog {
 
   std::size_t size() const { return profiles_.size(); }
   const DeviceProfile& profile(std::size_t i) const;
-  const std::vector<DeviceProfile>& profiles() const { return profiles_; }
 
   /// Index of a popularity-weighted random device (a user's device draw).
   std::size_t sample_device(util::Rng& rng) const;
@@ -30,13 +29,8 @@ class DeviceCatalog {
   /// Indices of devices on one OS.
   std::vector<std::size_t> devices_with_os(Os os) const;
 
-  /// Fraction of the user base (popularity-weighted) whose OS release date
-  /// is >= `min_os_release` (criterion C in Table 1).
-  double os_pass_fraction(int min_os_release) const;
-
-  /// Unweighted mean and stdev of speed multipliers (the heterogeneity the
-  /// paper's Figure 4 shows).
-  double mean_speed() const;
+  /// Unweighted stdev of the speed multipliers, which are normalized to unit
+  /// mean (the heterogeneity the paper's Figure 4 shows).
   double stddev_speed() const;
 
  private:

@@ -30,17 +30,6 @@ double HardwareDistribution::other_share(std::size_t legend_size) const {
   return other;
 }
 
-HardwareDistribution hardware_distribution(const DeviceCatalog& catalog, Os os) {
-  double total = 0.0;
-  for (const auto& p : catalog.profiles())
-    if (p.os == os) total += p.popularity;
-  FLINT_CHECK_MSG(total > 0.0, "catalog has no devices for OS");
-  std::vector<HardwareShare> shares;
-  for (const auto& p : catalog.profiles())
-    if (p.os == os) shares.push_back({p.name, p.popularity / total});
-  return finalize(os, std::move(shares));
-}
-
 HardwareDistribution sampled_hardware_distribution(const DeviceCatalog& catalog, Os os,
                                                    std::size_t clients, util::Rng& rng) {
   FLINT_CHECK(clients > 0);

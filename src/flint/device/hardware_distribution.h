@@ -26,9 +26,6 @@ struct HardwareDistribution {
   double other_share(std::size_t legend_size) const;
 };
 
-/// Exact distribution from the catalog's popularity weights.
-HardwareDistribution hardware_distribution(const DeviceCatalog& catalog, Os os);
-
 /// Empirical distribution from sampling `clients` users of the given OS
 /// (what a production session-log analysis would see).
 HardwareDistribution sampled_hardware_distribution(const DeviceCatalog& catalog, Os os,

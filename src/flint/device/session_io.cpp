@@ -5,62 +5,8 @@
 #include <fstream>
 
 #include "flint/util/check.h"
-#include "flint/util/csv.h"
 
 namespace flint::device {
-
-void write_session_log_csv(const std::string& path, const SessionLog& log) {
-  util::CsvFile file(path);
-  FLINT_CHECK_MSG(file.ok(), "cannot write " << path);
-  file.write_row({"client_id", "device_index", "start_s", "end_s", "wifi", "battery_pct",
-                  "foreground"});
-  for (const auto& s : log.sessions) {
-    file.write_row({std::to_string(s.client_id), std::to_string(s.device_index),
-                    std::to_string(s.start), std::to_string(s.end), s.wifi ? "1" : "0",
-                    std::to_string(s.battery_pct), s.foreground ? "1" : "0"});
-  }
-}
-
-// The CSV format is keyed by the (verified) header row and parsed through
-// indexed cells, not a positional walk; the reader also rebuilds
-// client_device, which is derived state the writer never stores.
-// flint-analyze: allow(save-load-symmetry): header-keyed CSV, not a positional walk
-SessionLog read_session_log_csv(const std::string& path) {
-  std::ifstream in(path);
-  FLINT_CHECK_MSG(in.good(), "cannot read " << path);
-  std::string line;
-  FLINT_CHECK_MSG(static_cast<bool>(std::getline(in, line)), "empty session CSV " << path);
-  auto header = util::parse_csv_line(line);
-  FLINT_CHECK_MSG(header.size() == 7 && header[0] == "client_id",
-                  "unexpected session CSV header in " << path);
-
-  SessionLog log;
-  std::uint64_t max_client = 0;
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    auto cells = util::parse_csv_line(line);
-    FLINT_CHECK_MSG(cells.size() == 7, "bad session row at " << path << ":" << lineno);
-    Session s;
-    s.client_id = std::stoull(cells[0]);
-    s.device_index = std::stoul(cells[1]);
-    s.start = std::stod(cells[2]);
-    s.end = std::stod(cells[3]);
-    s.wifi = cells[4] == "1";
-    s.battery_pct = std::stod(cells[5]);
-    s.foreground = cells[6] == "1";
-    FLINT_CHECK_MSG(s.end > s.start, "non-positive session at " << path << ":" << lineno);
-    max_client = std::max(max_client, s.client_id);
-    log.sessions.push_back(s);
-  }
-  std::sort(log.sessions.begin(), log.sessions.end(), session_order);
-  // Rebuild the client->device map from the observed sessions (last write
-  // wins, matching how a device upgrade would appear in real logs).
-  log.client_device.assign(max_client + 1, 0);
-  for (const auto& s : log.sessions) log.client_device[s.client_id] = s.device_index;
-  return log;
-}
 
 namespace {
 

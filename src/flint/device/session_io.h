@@ -1,9 +1,5 @@
-// Session-log persistence. Production tooling exchanges session data as
-// tabular exports ("most existing web services log session metrics and
-// device information", §3.2); this CSV codec lets FLINT's analysis tools
-// consume such exports and snapshot synthetic logs for reproducibility.
-//
-// Columns: client_id,device_index,start_s,end_s,wifi,battery_pct,foreground
+// Session-log persistence: the binary spill-chunk format the streaming
+// session generator writes and merges back (session_stream.h).
 #pragma once
 
 #include <cstdint>
@@ -16,19 +12,10 @@
 
 namespace flint::device {
 
-/// Write a session log as CSV (with header). The client->device map is
-/// reconstructed on read from the sessions themselves.
-void write_session_log_csv(const std::string& path, const SessionLog& log);
-
-/// Read a CSV written by write_session_log_csv (or produced externally with
-/// the same schema). Sessions are re-sorted by start time.
-SessionLog read_session_log_csv(const std::string& path);
-
-/// Binary spill-chunk format for the streaming session generator
-/// (session_stream.h): a fixed 41-byte host-endian record per session
-/// behind a small magic+count header. Unlike the CSV codec this is an
-/// internal scratch format — same-build write/read only, never exchanged —
-/// so it favours exact double round-trips and sequential throughput.
+/// Binary spill-chunk format: a fixed 41-byte host-endian record per session
+/// behind a small magic+count header. An internal scratch format — same-build
+/// write/read only, never exchanged — so it favours exact double round-trips
+/// and sequential throughput.
 class SessionChunkWriter {
  public:
   explicit SessionChunkWriter(const std::string& path);

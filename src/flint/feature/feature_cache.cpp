@@ -47,10 +47,4 @@ void FeatureCache::evict_until_fits(std::uint64_t incoming) {
   }
 }
 
-void FeatureCache::clear() {
-  entries_.clear();
-  index_.clear();
-  stats_.bytes_used = 0;
-}
-
 }  // namespace flint::feature

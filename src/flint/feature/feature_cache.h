@@ -45,8 +45,6 @@ class FeatureCache {
   std::uint64_t capacity_bytes() const { return capacity_; }
   const CacheStats& stats() const { return stats_; }
 
-  void clear();
-
  private:
   struct Entry {
     std::string key;

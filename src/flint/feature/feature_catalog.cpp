@@ -11,19 +11,10 @@ void FeatureCatalog::register_feature(FeatureDef def) {
   defs_[def.name] = std::move(def);
 }
 
-bool FeatureCatalog::has(const std::string& name) const { return defs_.count(name) > 0; }
-
 const FeatureDef& FeatureCatalog::feature(const std::string& name) const {
   auto it = defs_.find(name);
   FLINT_CHECK_MSG(it != defs_.end(), "unknown feature '" << name << "'");
   return it->second;
-}
-
-std::vector<std::string> FeatureCatalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(defs_.size());
-  for (const auto& [name, _] : defs_) out.push_back(name);
-  return out;
 }
 
 DeviceFeatureRuntime::DeviceFeatureRuntime(const FeatureCatalog& catalog,

@@ -36,9 +36,7 @@ class FeatureCatalog {
   /// Register a feature; duplicate names are an error.
   void register_feature(FeatureDef def);
 
-  bool has(const std::string& name) const;
   const FeatureDef& feature(const std::string& name) const;
-  std::vector<std::string> names() const;
   std::size_t size() const { return defs_.size(); }
 
  private:

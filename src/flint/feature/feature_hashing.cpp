@@ -27,12 +27,6 @@ std::size_t FeatureHasher::bucket(const std::string& token) const {
   return static_cast<std::size_t>(raw_hash(token) % buckets_);
 }
 
-int FeatureHasher::sign(const std::string& token) const {
-  // Use a disjoint bit of the hash for the sign so bucket and sign are
-  // effectively independent.
-  return (raw_hash(token) >> 63) ? 1 : -1;
-}
-
 double expected_collision_rate(std::size_t vocab_size, std::size_t buckets) {
   FLINT_CHECK(buckets > 0);
   if (vocab_size <= 1) return 0.0;

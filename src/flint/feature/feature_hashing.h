@@ -16,10 +16,8 @@ class FeatureHasher {
 
   std::size_t buckets() const { return buckets_; }
 
-  /// Bucket of a token; signed variant also returns a +-1 sign to reduce
-  /// collision bias (the standard hashing-trick refinement).
+  /// Bucket of a token.
   std::size_t bucket(const std::string& token) const;
-  int sign(const std::string& token) const;
 
  private:
   std::uint64_t raw_hash(const std::string& token) const;

@@ -1,7 +1,7 @@
 #include "flint/feature/vocab.h"
 
 #include <algorithm>
-#include <sstream>
+#include <unordered_set>
 
 #include "flint/util/check.h"
 
@@ -16,52 +16,18 @@ Vocab Vocab::build(const std::vector<std::pair<std::string, std::uint64_t>>& fre
     return a.first < b.first;
   });
   Vocab v;
+  std::unordered_set<std::string> seen;
   for (const auto& [token, freq] : sorted) {
     if (v.tokens_.size() >= max_size) break;
-    if (v.index_.count(token)) continue;
-    v.index_[token] = static_cast<std::int32_t>(v.tokens_.size()) + 1;
-    v.tokens_.push_back(token);
+    if (seen.insert(token).second) v.tokens_.push_back(token);
   }
   return v;
-}
-
-std::int32_t Vocab::lookup(const std::string& token) const {
-  auto it = index_.find(token);
-  return it == index_.end() ? kOovId : it->second;
-}
-
-std::optional<std::string> Vocab::reverse_lookup(std::int32_t id) const {
-  if (id <= 0 || static_cast<std::size_t>(id) > tokens_.size()) return std::nullopt;
-  return tokens_[static_cast<std::size_t>(id) - 1];
 }
 
 std::size_t Vocab::asset_bytes() const {
   std::size_t bytes = 0;
   for (const auto& t : tokens_) bytes += t.size() + 1;  // newline separator
   return bytes;
-}
-
-std::string Vocab::serialize() const {
-  std::string out;
-  out.reserve(asset_bytes());
-  for (const auto& t : tokens_) {
-    out += t;
-    out += '\n';
-  }
-  return out;
-}
-
-Vocab Vocab::parse(const std::string& text) {
-  Vocab v;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    FLINT_CHECK_MSG(v.index_.count(line) == 0, "duplicate vocab token '" << line << "'");
-    v.index_[line] = static_cast<std::int32_t>(v.tokens_.size()) + 1;
-    v.tokens_.push_back(line);
-  }
-  return v;
 }
 
 }  // namespace flint::feature

@@ -5,18 +5,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace flint::feature {
 
-/// Reserved id for out-of-vocabulary tokens.
-inline constexpr std::int32_t kOovId = 0;
-
-/// An immutable token -> id mapping. Id 0 is reserved for OOV; real tokens
-/// get ids 1..size.
+/// An immutable token -> id mapping. Id 0 is reserved for out-of-vocabulary
+/// tokens; real tokens get ids 1..size.
 class Vocab {
  public:
   Vocab() = default;
@@ -26,25 +22,14 @@ class Vocab {
   static Vocab build(const std::vector<std::pair<std::string, std::uint64_t>>& frequencies,
                      std::size_t max_size);
 
-  /// Id for a token (kOovId if unknown).
-  std::int32_t lookup(const std::string& token) const;
-
-  /// Token for an id, if in range (OOV and out-of-range return nullopt).
-  std::optional<std::string> reverse_lookup(std::int32_t id) const;
-
   std::size_t size() const { return tokens_.size(); }
 
-  /// Serialized asset size in bytes: token bytes + newlines (the on-disk
-  /// format below). This is the number the device storage budget sees.
+  /// Asset size in bytes of the on-disk format, one token per line in id
+  /// order. This is the number the device storage budget sees.
   std::size_t asset_bytes() const;
 
-  /// One token per line, in id order. Round-trips with parse().
-  std::string serialize() const;
-  static Vocab parse(const std::string& text);
-
  private:
-  std::vector<std::string> tokens_;              // index i -> id i+1
-  std::unordered_map<std::string, std::int32_t> index_;
+  std::vector<std::string> tokens_;  // index i -> id i+1
 };
 
 }  // namespace flint::feature

@@ -32,11 +32,6 @@ LrSchedule LrSchedule::exponential_decay(double initial, double decay_rate,
   return LrSchedule(Kind::kExponential, initial, decay_rate, decay_rounds, staircase, min_lr);
 }
 
-LrSchedule LrSchedule::inverse_sqrt(double initial, std::uint64_t warmup_rounds) {
-  FLINT_CHECK_GT(warmup_rounds, std::uint64_t{0});
-  return LrSchedule(Kind::kInverseSqrt, initial, 1.0, warmup_rounds, false, 0.0);
-}
-
 double LrSchedule::at(std::uint64_t round) const {
   switch (kind_) {
     case Kind::kConstant:
@@ -46,13 +41,6 @@ double LrSchedule::at(std::uint64_t round) const {
                             ? static_cast<double>(round / period_)
                             : static_cast<double>(round) / static_cast<double>(period_);
       return std::max(min_lr_, initial_ * std::pow(decay_rate_, exponent));
-    }
-    case Kind::kInverseSqrt: {
-      double w = static_cast<double>(period_);
-      double r = static_cast<double>(round);
-      double warmup = std::min(1.0, (r + 1.0) / w);
-      double decay = 1.0 / std::sqrt(std::max(r, w) / w);
-      return initial_ * warmup * decay;
     }
   }
   return initial_;

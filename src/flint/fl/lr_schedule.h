@@ -19,13 +19,10 @@ class LrSchedule {
                                       std::uint64_t decay_rounds, bool staircase = false,
                                       double min_lr = 0.0);
 
-  /// lr(r) = lr0 * min(1, (r+1)/warmup) / sqrt(max(r, warmup) / warmup).
-  static LrSchedule inverse_sqrt(double initial, std::uint64_t warmup_rounds);
-
   double at(std::uint64_t round) const;
 
  private:
-  enum class Kind { kConstant, kExponential, kInverseSqrt };
+  enum class Kind { kConstant, kExponential };
   LrSchedule(Kind kind, double initial, double decay_rate, std::uint64_t period, bool staircase,
              double min_lr);
 

@@ -42,35 +42,6 @@ double average_precision(const std::vector<float>& scores, const std::vector<flo
   return ap / positives;
 }
 
-double roc_auc(const std::vector<float>& scores, const std::vector<float>& labels) {
-  FLINT_CHECK(scores.size() == labels.size());
-  FLINT_CHECK(!scores.empty());
-  // Mann-Whitney U with midrank handling for ties.
-  std::vector<std::size_t> idx(scores.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a, std::size_t b) { return scores[a] < scores[b]; });
-  std::vector<double> ranks(scores.size());
-  std::size_t i = 0;
-  while (i < idx.size()) {
-    std::size_t j = i;
-    while (j + 1 < idx.size() && scores[idx[j + 1]] == scores[idx[i]]) ++j;
-    double midrank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[idx[k]] = midrank;
-    i = j + 1;
-  }
-  double pos = 0.0, rank_sum = 0.0;
-  for (std::size_t k = 0; k < labels.size(); ++k) {
-    if (labels[k] > 0.5f) {
-      pos += 1.0;
-      rank_sum += ranks[k];
-    }
-  }
-  double neg = static_cast<double>(labels.size()) - pos;
-  if (pos == 0.0 || neg == 0.0) return 0.5;
-  return (rank_sum - pos * (pos + 1.0) / 2.0) / (pos * neg);
-}
-
 double ndcg_at_k(const std::vector<float>& scores, const std::vector<float>& labels,
                  std::size_t k) {
   FLINT_CHECK(scores.size() == labels.size());
@@ -93,31 +64,6 @@ double ndcg_at_k(const std::vector<float>& scores, const std::vector<float>& lab
   double ideal = dcg(ideal_order);
   if (ideal <= 0.0) return 1.0;
   return dcg(pred_order) / ideal;
-}
-
-double log_loss(const std::vector<float>& probs, const std::vector<float>& labels) {
-  FLINT_CHECK(probs.size() == labels.size());
-  FLINT_CHECK(!probs.empty());
-  constexpr double kEps = 1e-7;
-  double total = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    double p = std::clamp(static_cast<double>(probs[i]), kEps, 1.0 - kEps);
-    double y = labels[i];
-    total += -(y * std::log(p) + (1.0 - y) * std::log(1.0 - p));
-  }
-  return total / static_cast<double>(probs.size());
-}
-
-double accuracy(const std::vector<float>& probs, const std::vector<float>& labels) {
-  FLINT_CHECK(probs.size() == labels.size());
-  FLINT_CHECK(!probs.empty());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    bool pred = probs[i] >= 0.5f;
-    bool truth = labels[i] >= 0.5f;
-    if (pred == truth) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(probs.size());
 }
 
 }  // namespace flint::ml

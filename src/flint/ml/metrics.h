@@ -12,19 +12,9 @@ namespace flint::ml {
 /// positive class is absent.
 double average_precision(const std::vector<float>& scores, const std::vector<float>& labels);
 
-/// Area under the ROC curve via the rank-sum (Mann-Whitney) formulation.
-/// Returns 0.5 when either class is absent.
-double roc_auc(const std::vector<float>& scores, const std::vector<float>& labels);
-
 /// NDCG@k for one ranking group with graded relevance labels.
 /// Returns 1.0 for a group with no positive relevance (ideal DCG of zero).
 double ndcg_at_k(const std::vector<float>& scores, const std::vector<float>& labels,
                  std::size_t k);
-
-/// Mean binary log-loss of probabilities (clipped to [eps, 1-eps]).
-double log_loss(const std::vector<float>& probs, const std::vector<float>& labels);
-
-/// Classification accuracy at a 0.5 probability threshold.
-double accuracy(const std::vector<float>& probs, const std::vector<float>& labels);
 
 }  // namespace flint::ml

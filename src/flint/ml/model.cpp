@@ -6,12 +6,6 @@ namespace flint::ml {
 
 // -------------------------------------------------------------------- Model
 
-void Model::init(util::Rng& rng) {
-  // Default init touches nothing; concrete models override. Provided so that
-  // mock models in tests don't need to.
-  (void)rng;
-}
-
 std::size_t Model::parameter_count() {
   std::size_t n = 0;
   for (Parameter* p : parameters()) n += p->size();
@@ -40,16 +34,6 @@ void Model::set_flat_parameters(std::span<const float> flat) {
   FLINT_CHECK_MSG(offset == flat.size(), "flat parameter vector has " << flat.size()
                                                                       << " values, model needs "
                                                                       << offset);
-}
-
-std::vector<float> Model::get_flat_gradients() {
-  std::vector<float> out;
-  out.reserve(parameter_count());
-  for (Parameter* p : parameters()) {
-    auto f = p->grad.flat();
-    out.insert(out.end(), f.begin(), f.end());
-  }
-  return out;
 }
 
 void Model::zero_grad() {

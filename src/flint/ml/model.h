@@ -33,7 +33,7 @@ class Model {
   virtual std::unique_ptr<Model> clone() const = 0;
 
   /// Initialize all parameters.
-  virtual void init(util::Rng& rng);
+  virtual void init(util::Rng& rng) = 0;
 
   // --- Flat parameter plumbing (implemented on top of parameters()). ---
 
@@ -45,9 +45,6 @@ class Model {
 
   /// Overwrite all parameter values from a flat vector (size must match).
   void set_flat_parameters(std::span<const float> flat);
-
-  /// Concatenation of all parameter gradients.
-  std::vector<float> get_flat_gradients();
 
   /// Zero all parameter gradients.
   void zero_grad();

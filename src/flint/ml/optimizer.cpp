@@ -42,8 +42,6 @@ void SgdOptimizer::step(const std::vector<Parameter*>& params, double lr) {
   }
 }
 
-void SgdOptimizer::reset() { velocity_.clear(); }
-
 double clip_gradients(const std::vector<Parameter*>& params, double max_norm) {
   FLINT_CHECK_FINITE(max_norm);
   FLINT_CHECK_GT(max_norm, 0.0);

@@ -17,9 +17,6 @@ class SgdOptimizer {
   /// Apply one update: p -= lr * (grad + wd * p), with momentum if enabled.
   void step(const std::vector<Parameter*>& params, double lr);
 
-  /// Drop momentum state (e.g. when a fresh global model is installed).
-  void reset();
-
   double momentum() const { return momentum_; }
   double weight_decay() const { return weight_decay_; }
 

@@ -1,7 +1,6 @@
 #include "flint/ml/serialize.h"
 
 #include <cstring>
-#include <fstream>
 
 #include "flint/util/bytes.h"
 #include "flint/util/check.h"
@@ -130,38 +129,6 @@ std::unique_ptr<Model> deserialize_model(const std::vector<char>& bytes) {
   util::read_pod_array(bytes, offset, params.data(), params.size());
   model->set_flat_parameters(params);
   return model;
-}
-
-void save_model(const std::string& path, Model& model) {
-  auto blob = serialize_model(model);
-  std::ofstream out(path, std::ios::binary);
-  FLINT_CHECK_MSG(out.good(), "cannot write " << path);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::unique_ptr<Model> load_model(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FLINT_CHECK_MSG(in.good(), "cannot read " << path);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  return deserialize_model(bytes);
-}
-
-std::size_t serialized_model_bytes(Model& model) {
-  // Header is tiny; the weights dominate. Compute exactly via a dry run of
-  // the header encoding.
-  std::vector<char> header;
-  header.insert(header.end(), kMagic, kMagic + 4);
-  if (auto* ff = dynamic_cast<FeedForwardModel*>(&model)) {
-    put(header, kKindFeedForward);
-    put_feedforward_config(header, ff->config());
-  } else if (auto* ct = dynamic_cast<ConvTextModel*>(&model)) {
-    put(header, kKindConvText);
-    put_convtext_config(header, ct->config());
-  } else {
-    FLINT_CHECK_MSG(false, "unsupported model type for serialization");
-  }
-  return header.size() + sizeof(std::uint64_t) + model.parameter_count() * sizeof(float);
 }
 
 }  // namespace flint::ml

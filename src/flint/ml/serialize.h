@@ -1,14 +1,13 @@
 // Self-describing model serialization — the analog of the paper's "convert
 // our three candidate models to a TFLite format, and deploy them for
 // training ... in our benchmarking app" (§4.1). The format captures the
-// architecture config and the flat weights, so a benchmark app (or the
-// model store) can reconstruct the exact model without out-of-band schema.
+// architecture config and the flat weights, so a benchmark app (or an rpc
+// executor) can reconstruct the exact model without out-of-band schema.
 //
 // Format: magic "FLMD" | u8 kind | config fields | u64 param_count | f32[].
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "flint/ml/model.h"
@@ -21,13 +20,5 @@ std::vector<char> serialize_model(Model& model);
 
 /// Reconstruct a model from serialize_model() bytes.
 std::unique_ptr<Model> deserialize_model(const std::vector<char>& bytes);
-
-/// Convenience file round trip.
-void save_model(const std::string& path, Model& model);
-std::unique_ptr<Model> load_model(const std::string& path);
-
-/// Serialized size in bytes without materializing the blob (for storage
-/// budget checks against e.g. the <1MB SDK limit).
-std::size_t serialized_model_bytes(Model& model);
 
 }  // namespace flint::ml

@@ -18,7 +18,7 @@
 namespace flint::ml {
 
 /// Row-major dense tensor of floats, rank 1 or 2 (vectors and matrices cover
-/// every layer FLINT ships). Value type: copyable, movable, comparable.
+/// every layer FLINT ships). Value type: copyable and movable.
 class Tensor {
  public:
   Tensor() = default;
@@ -28,11 +28,6 @@ class Tensor {
 
   /// Rank-2 tensor of zeros.
   Tensor(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
-
-  /// Rank-2 tensor with explicit contents (size must equal rows*cols).
-  Tensor(std::size_t rows, std::size_t cols, std::vector<float> data);
-
-  static Tensor from_vector(std::vector<float> v);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -55,28 +50,11 @@ class Tensor {
   /// resize are unspecified; zero() before accumulating into them.
   void resize(std::size_t rows, std::size_t cols);
 
-  /// Fill with a constant.
-  void fill(float v);
-
-  /// In-place element-wise ops. Shapes must match exactly.
+  /// In-place element-wise sum. Shapes must match exactly.
   Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
-  Tensor& operator*=(float s);
-
-  /// axpy: this += s * other.
-  void add_scaled(const Tensor& other, float s);
-
-  /// L2 norm of all elements.
-  float l2_norm() const;
 
   /// Matrix product (this: [m,k]) x (rhs: [k,n]) -> [m,n].
   Tensor matmul(const Tensor& rhs) const;
-
-  /// Transposed matrix product: (this^T) x rhs, this: [k,m], rhs: [k,n] -> [m,n].
-  Tensor transposed_matmul(const Tensor& rhs) const;
-
-  /// Matrix product with transposed rhs: this [m,k] x rhs^T, rhs: [n,k] -> [m,n].
-  Tensor matmul_transposed(const Tensor& rhs) const;
 
   /// One row as a span (rank-2 only).
   std::span<const float> row(std::size_t r) const;
@@ -93,7 +71,5 @@ class Tensor {
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
-
-bool operator==(const Tensor& a, const Tensor& b);
 
 }  // namespace flint::ml

@@ -5,16 +5,6 @@
 
 namespace flint::net {
 
-FixedBandwidthModel::FixedBandwidthModel(double mbps) : mbps_(mbps) {
-  FLINT_CHECK_FINITE(mbps);
-  FLINT_CHECK_GT(mbps, 0.0);
-}
-
-double FixedBandwidthModel::sample_mbps(util::Rng& rng) const {
-  (void)rng;
-  return mbps_;
-}
-
 PufferLikeBandwidthModel::PufferLikeBandwidthModel()
     : PufferLikeBandwidthModel(
           {

@@ -21,16 +21,6 @@ class BandwidthModel {
   virtual double sample_mbps(util::Rng& rng) const = 0;
 };
 
-/// Deterministic bandwidth for tests and controlled ablations.
-class FixedBandwidthModel : public BandwidthModel {
- public:
-  explicit FixedBandwidthModel(double mbps);
-  double sample_mbps(util::Rng& rng) const override;
-
- private:
-  double mbps_;
-};
-
 /// One lognormal mixture component.
 struct BandwidthComponent {
   double weight = 1.0;  ///< mixture weight (normalized internally)

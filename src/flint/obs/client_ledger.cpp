@@ -6,29 +6,9 @@
 
 namespace flint::obs {
 
-const char* ledger_outcome_name(LedgerOutcome outcome) {
-  switch (outcome) {
-    case LedgerOutcome::kSucceeded: return "succeeded";
-    case LedgerOutcome::kInterrupted: return "interrupted";
-    case LedgerOutcome::kStale: return "stale";
-    case LedgerOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
-
 ClientLedger::ClientLedger()
     : tier_labels_{"high-end", "mid-range", "low-end"},
       cohort_labels_{"rare", "regular", "always-on"} {}
-
-void ClientLedger::set_tier_labels(std::vector<std::string> labels) {
-  FLINT_CHECK_MSG(!labels.empty(), "ledger needs at least one tier label");
-  tier_labels_ = std::move(labels);
-}
-
-void ClientLedger::set_cohort_labels(std::vector<std::string> labels) {
-  FLINT_CHECK_MSG(!labels.empty(), "ledger needs at least one cohort label");
-  cohort_labels_ = std::move(labels);
-}
 
 std::uint32_t ClientLedger::slot(std::uint64_t client_id) {
   std::uint32_t s = keys_.intern(client_id);

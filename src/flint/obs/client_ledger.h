@@ -35,8 +35,6 @@ namespace flint::obs {
 /// depending on sim (obs is below it).
 enum class LedgerOutcome { kSucceeded, kInterrupted, kStale, kFailed };
 
-const char* ledger_outcome_name(LedgerOutcome outcome);
-
 /// One client's accumulated account.
 struct ClientLedgerEntry {
   std::uint64_t client_id = 0;
@@ -101,10 +99,8 @@ class ClientLedger {
  public:
   ClientLedger();
 
-  /// Install display names for the tier/cohort axes (defaults cover the
-  /// standard three-tier / three-cohort classification).
-  void set_tier_labels(std::vector<std::string> labels);
-  void set_cohort_labels(std::vector<std::string> labels);
+  /// Display names for the tier/cohort axes: the standard three-tier /
+  /// three-cohort classification.
   const std::vector<std::string>& tier_labels() const { return tier_labels_; }
   const std::vector<std::string>& cohort_labels() const { return cohort_labels_; }
 

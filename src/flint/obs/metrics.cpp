@@ -50,18 +50,6 @@ void HistogramMetric::merge_delta(std::uint64_t count_delta, double sum_delta,
   }
 }
 
-double HistogramMetric::mean() const {
-  std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-double HistogramMetric::quantile(double q) const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(buckets_.size());
-  for (const auto& b : buckets_) counts.push_back(b.load(std::memory_order_relaxed));
-  return histogram_quantile(q, lo_, hi_, counts);
-}
-
 double histogram_quantile(double q, double lo, double hi,
                           const std::vector<std::uint64_t>& buckets) {
   FLINT_CHECK_PROB(q);

@@ -64,9 +64,6 @@ class HistogramMetric {
   }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
-  /// Estimated q-quantile (see histogram_quantile); 0 when empty.
-  double quantile(double q) const;
 
  private:
   double lo_;

@@ -7,25 +7,6 @@
 
 namespace flint::privacy {
 
-double clip_update(std::vector<float>& update, double clip_norm) {
-  FLINT_CHECK_FINITE(clip_norm);
-  FLINT_CHECK_GT(clip_norm, 0.0);
-  const auto& k = ml::kernels::active();
-  double norm = std::sqrt(k.sum_squares(update.data(), update.size(), 0.0));
-  if (norm > clip_norm) {
-    auto scale = static_cast<float>(clip_norm / norm);
-    k.scale(update.data(), scale, update.size());
-  }
-  return norm;
-}
-
-void add_gaussian_noise(std::vector<float>& update, double stddev, util::Rng& rng) {
-  FLINT_CHECK_FINITE(stddev);
-  FLINT_CHECK_GE(stddev, 0.0);
-  if (stddev == 0.0) return;
-  for (float& v : update) v += static_cast<float>(rng.normal(0.0, stddev));
-}
-
 double apply_dp(std::vector<float>& update, const DpConfig& config, std::size_t participants,
                 util::Rng& rng) {
   FLINT_CHECK_GT(participants, std::size_t{0});
@@ -36,8 +17,7 @@ double apply_dp(std::vector<float>& update, const DpConfig& config, std::size_t 
   FLINT_CHECK_FINITE(stddev);
   FLINT_CHECK_GE(stddev, 0.0);
   // Fused clip + noise: one norm pass and one combined scale-and-add sweep
-  // instead of separate clip and noise passes. Draw order and per-element
-  // rounding match the two-pass version exactly (see kernels::clip_noise).
+  // (see kernels::clip_noise).
   return ml::kernels::clip_noise(update.data(), update.size(), config.clip_norm, stddev,
                                  rng);
 }

@@ -17,12 +17,6 @@ struct DpConfig {
   double delta = 1e-6;           ///< target delta
 };
 
-/// Clip `update` in place to L2 norm <= clip_norm; returns the pre-clip norm.
-double clip_update(std::vector<float>& update, double clip_norm);
-
-/// Add iid N(0, stddev^2) noise to every coordinate.
-void add_gaussian_noise(std::vector<float>& update, double stddev, util::Rng& rng);
-
 /// Apply the full per-client mechanism: clip then noise with
 /// sigma = noise_multiplier * clip_norm / participants (server-side noise
 /// split across the cohort average). Returns the pre-clip norm.

@@ -4,38 +4,8 @@
 
 namespace flint::privacy {
 
-TeeSecureAggregator::TeeSecureAggregator(const TeeConfig& config, std::size_t dim)
-    : config_(config), sum_(dim, 0.0) {
-  FLINT_CHECK(dim > 0);
+TeeSecureAggregator::TeeSecureAggregator(const TeeConfig& config) : config_(config) {
   FLINT_CHECK(config.bandwidth_mbps > 0.0);
-}
-
-void TeeSecureAggregator::accumulate(std::span<const float> update, double weight) {
-  FLINT_CHECK_MSG(update.size() == sum_.size(),
-                  "update dim " << update.size() << " != aggregator dim " << sum_.size());
-  FLINT_CHECK(weight > 0.0);
-  for (std::size_t i = 0; i < update.size(); ++i)
-    sum_[i] += weight * static_cast<double>(update[i]);
-  weight_sum_ += weight;
-  ++updates_received_;
-  ++attestations_;
-  bytes_received_ += update.size() * sizeof(float) +
-                     static_cast<std::uint64_t>(config_.per_update_overhead_bytes);
-}
-
-std::vector<float> TeeSecureAggregator::finalize() {
-  FLINT_CHECK_MSG(weight_sum_ > 0.0, "finalize with no accumulated updates");
-  std::vector<float> out(sum_.size());
-  for (std::size_t i = 0; i < sum_.size(); ++i)
-    out[i] = static_cast<float>(sum_[i] / weight_sum_);
-  std::fill(sum_.begin(), sum_.end(), 0.0);
-  weight_sum_ = 0.0;
-  return out;
-}
-
-double TeeSecureAggregator::busy_seconds() const {
-  double transfer = static_cast<double>(bytes_received_) * 8.0 / (config_.bandwidth_mbps * 1e6);
-  return transfer + static_cast<double>(attestations_) * config_.attestation_s;
 }
 
 double TeeSecureAggregator::required_mbytes_per_s(double updates_per_s,
@@ -49,29 +19,6 @@ double TeeSecureAggregator::required_mbytes_per_s(double updates_per_s,
 bool TeeSecureAggregator::within_capacity(double updates_per_s,
                                           std::uint64_t update_bytes) const {
   return required_mbytes_per_s(updates_per_s, update_bytes) * 8.0 <= config_.bandwidth_mbps;
-}
-
-std::vector<std::vector<float>> mask_updates(const std::vector<std::vector<float>>& updates,
-                                             std::uint64_t session_seed) {
-  FLINT_CHECK(!updates.empty());
-  std::size_t n = updates.size();
-  std::size_t dim = updates[0].size();
-  for (const auto& u : updates) FLINT_CHECK_MSG(u.size() == dim, "ragged updates");
-
-  std::vector<std::vector<float>> masked = updates;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      // Shared PRG seed for the (i, j) pair; both sides derive it identically
-      // (in production via a key agreement; here from the session seed).
-      util::Rng pair_rng(util::splitmix64(session_seed ^ (i * 0x9e3779b9ULL + j)));
-      for (std::size_t d = 0; d < dim; ++d) {
-        auto mask = static_cast<float>(pair_rng.normal(0.0, 1.0));
-        masked[i][d] += mask;
-        masked[j][d] -= mask;
-      }
-    }
-  }
-  return masked;
 }
 
 }  // namespace flint::privacy

@@ -1,43 +1,24 @@
-// Secure aggregation (paper §3.6): a TEE-based aggregator with remote
-// attestation and bandwidth accounting ("a TEE needs to receive and
-// aggregate only 2.68MB/second of updates", §3.5), plus a pairwise-mask
-// SecAgg simulation used to property-test the additive-masking identity.
+// Secure aggregation (paper §3.6): the ingress capacity model of a TEE-based
+// aggregator ("a TEE needs to receive and aggregate only 2.68MB/second of
+// updates", §3.5).
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "flint/util/rng.h"
 
 namespace flint::privacy {
 
 /// TEE capacity/cost model.
 struct TeeConfig {
   double bandwidth_mbps = 24.0;        ///< enclave ingress limit (~3 MB/s)
-  double attestation_s = 0.5;          ///< one-time remote attestation per client
   double per_update_overhead_bytes = 256;  ///< envelope/encryption overhead
 };
 
-/// Trusted-execution-environment aggregator: accumulates weighted updates
-/// (compatible with async FL — any arrival order) and tracks the ingress
-/// bytes and busy time the enclave would spend.
+/// Trusted-execution-environment aggregator, as a capacity model: the
+/// ingress bandwidth an update stream needs and whether the enclave keeps up.
 class TeeSecureAggregator {
  public:
-  TeeSecureAggregator(const TeeConfig& config, std::size_t dim);
-
-  /// Ingest one client's update with the given aggregation weight.
-  void accumulate(std::span<const float> update, double weight = 1.0);
-
-  /// Weighted mean of everything accumulated since the last finalize;
-  /// resets the accumulator. Requires at least one update.
-  std::vector<float> finalize();
-
-  std::uint64_t updates_received() const { return updates_received_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
-
-  /// Total enclave busy time: transfer at the ingress limit + attestations.
-  double busy_seconds() const;
+  explicit TeeSecureAggregator(const TeeConfig& config);
 
   /// Ingress bandwidth (MB/s) needed to sustain `updates_per_s` updates of
   /// `update_bytes` each, including envelope overhead.
@@ -48,19 +29,6 @@ class TeeSecureAggregator {
 
  private:
   TeeConfig config_;
-  std::vector<double> sum_;
-  double weight_sum_ = 0.0;
-  std::uint64_t updates_received_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  std::uint64_t attestations_ = 0;
 };
-
-/// Pairwise-mask SecAgg simulation: every client pair (i < j) derives a
-/// shared mask from `session_seed`; i adds it, j subtracts it. Returns the
-/// masked updates, whose SUM equals the sum of the raw updates while each
-/// individual masked update is (pseudo)random — the classic Bonawitz-style
-/// additive masking identity, property-tested in the suite.
-std::vector<std::vector<float>> mask_updates(const std::vector<std::vector<float>>& updates,
-                                             std::uint64_t session_seed);
 
 }  // namespace flint::privacy

@@ -43,19 +43,6 @@ std::vector<char> encode_frame(const Frame& frame) {
   return out;
 }
 
-Frame decode_frame(const std::vector<char>& bytes) {
-  FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  std::optional<Frame> frame = decoder.next();
-  FLINT_CHECK_MSG(frame.has_value(), "truncated frame: " << bytes.size() << " byte(s), need "
-                                                         << kFrameHeaderBytes +
-                                                                kFrameTrailerBytes
-                                                         << "+payload");
-  FLINT_CHECK_MSG(decoder.buffered() == 0,
-                  "trailing garbage after frame: " << decoder.buffered() << " byte(s)");
-  return *frame;
-}
-
 void FrameDecoder::feed(const char* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }

@@ -53,17 +53,12 @@ struct Frame {
 /// Encode a frame into wire bytes (header + payload + CRC).
 std::vector<char> encode_frame(const Frame& frame);
 
-/// Strict whole-buffer decode: `bytes` must hold exactly one valid frame.
-/// Throws CheckError on bad magic, unsupported protocol version, oversized
-/// or truncated length, trailing garbage, unknown type, or CRC mismatch.
-Frame decode_frame(const std::vector<char>& bytes);
-
 /// Incremental decoder for stream transports: feed() arbitrary byte chunks,
-/// next() yields complete frames as they materialize. Validation is the same
-/// as decode_frame (the magic and length prefix are checked as soon as the
-/// header is complete, the CRC once the whole frame is buffered); malformed
-/// input throws CheckError and the stream must be torn down — framing offers
-/// no resynchronization by design, a corrupt peer is a dead peer.
+/// next() yields complete frames as they materialize. The magic, protocol
+/// version, type and length prefix are checked as soon as the header is
+/// complete, the CRC once the whole frame is buffered; malformed input
+/// throws CheckError and the stream must be torn down — framing offers no
+/// resynchronization by design, a corrupt peer is a dead peer.
 class FrameDecoder {
  public:
   void feed(const char* data, std::size_t size);

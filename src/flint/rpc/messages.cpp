@@ -358,13 +358,4 @@ std::vector<char> ShutdownMsg::serialize() const {
   return out;
 }
 
-ShutdownMsg ShutdownMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("Shutdown", util::read_pod<std::uint16_t>(bytes, offset), kSchemaVersion);
-  ShutdownMsg msg;
-  msg.reason = read_string(bytes, offset);
-  check_consumed("Shutdown", offset, bytes.size());
-  return msg;
-}
-
 }  // namespace flint::rpc

@@ -174,7 +174,6 @@ struct ShutdownMsg {
   std::string reason;
 
   std::vector<char> serialize() const;
-  static ShutdownMsg deserialize(const std::vector<char>& bytes);
 };
 
 }  // namespace flint::rpc

@@ -27,12 +27,6 @@ SpawnedProcess::SpawnedProcess(const std::vector<std::string>& argv) {
   pid_ = pid;
 }
 
-SpawnedProcess::SpawnedProcess(SpawnedProcess&& other) noexcept
-    : pid_(other.pid_), reaped_(other.reaped_) {
-  other.pid_ = -1;
-  other.reaped_ = true;
-}
-
 SpawnedProcess::~SpawnedProcess() {
   if (!running()) return;
   // A cooperative child (Shutdown already delivered) exits on its own but may

@@ -18,7 +18,7 @@ class SpawnedProcess {
   /// the fork fails; exec failure surfaces as the child exiting 127.
   explicit SpawnedProcess(const std::vector<std::string>& argv);
 
-  SpawnedProcess(SpawnedProcess&& other) noexcept;
+  SpawnedProcess(SpawnedProcess&&) = delete;
   SpawnedProcess& operator=(SpawnedProcess&&) = delete;
   SpawnedProcess(const SpawnedProcess&) = delete;
   SpawnedProcess& operator=(const SpawnedProcess&) = delete;

@@ -10,12 +10,6 @@ void EventQueue::schedule(VirtualTime t, std::function<void()> fn) {
   heap_.push({t, next_seq_++, std::move(fn)});
 }
 
-void EventQueue::schedule_in(VirtualTime delay, std::function<void()> fn) {
-  FLINT_CHECK_FINITE(delay);
-  FLINT_CHECK_GE(delay, 0.0);
-  schedule(now_ + delay, std::move(fn));
-}
-
 bool EventQueue::step() {
   if (heap_.empty()) return false;
   // Copy out before pop so the callback can schedule new events freely.
@@ -42,13 +36,6 @@ void EventQueue::run(std::uint64_t max_events) {
   std::uint64_t budget = max_events;
   while (budget-- > 0 && step()) {
   }
-}
-
-void EventQueue::run_until(VirtualTime t) {
-  FLINT_CHECK_FINITE(t);
-  FLINT_CHECK_GE(t, now_);
-  while (!heap_.empty() && heap_.top().time <= t) step();
-  now_ = t;
 }
 
 void EventQueue::advance_to(VirtualTime t) {

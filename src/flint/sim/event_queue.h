@@ -24,18 +24,12 @@ class EventQueue {
   /// Schedule `fn` at absolute virtual time `t` (must be >= now()).
   void schedule(VirtualTime t, std::function<void()> fn);
 
-  /// Schedule `fn` `delay` seconds from now.
-  void schedule_in(VirtualTime delay, std::function<void()> fn);
-
   /// Pop and run the earliest event, advancing the clock. Returns false when
   /// the queue is empty.
   bool step();
 
   /// Run until the queue is empty or `max_events` have executed.
   void run(std::uint64_t max_events = UINT64_MAX);
-
-  /// Run events with time <= t, then set the clock to exactly t.
-  void run_until(VirtualTime t);
 
   /// Set the clock to exactly t without executing anything. Every pending
   /// event must be at or after t. Checkpoint resume uses this to fast-forward

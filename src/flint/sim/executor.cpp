@@ -1,35 +1,18 @@
 #include "flint/sim/executor.h"
 
-#include <algorithm>
-
 #include "flint/util/check.h"
 
 namespace flint::sim {
 
 ExecutorPool::ExecutorPool(std::size_t count)
-    : count_(count), tasks_run_(count, 0), task_counters_(count) {
+    : count_(count), task_counters_(count) {
   FLINT_CHECK(count > 0);
   task_counter_names_.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
     task_counter_names_.push_back("sim.executor." + std::to_string(i) + ".tasks");
 }
 
-void ExecutorPool::set_partitioning(const data::ExecutorPartitioning& partitioning) {
-  FLINT_CHECK_MSG(partitioning.executor_count() == count_,
-                  "partitioning has " << partitioning.executor_count() << " executors, pool has "
-                                      << count_);
-  std::uint64_t max_client = 0;
-  for (const auto& part : partitioning.partitions)
-    for (std::uint64_t c : part) max_client = std::max(max_client, c);
-  client_executor_.assign(max_client + 1, 0);
-  for (std::size_t p = 0; p < partitioning.partitions.size(); ++p)
-    for (std::uint64_t c : partitioning.partitions[p])
-      client_executor_[c] = static_cast<std::uint32_t>(p);
-  has_partitioning_ = true;
-}
-
 std::size_t ExecutorPool::executor_of(std::uint64_t client) const {
-  if (has_partitioning_ && client < client_executor_.size()) return client_executor_[client];
   return static_cast<std::size_t>(client % count_);
 }
 
@@ -37,19 +20,6 @@ void ExecutorPool::add_outage(ExecutorOutage outage) {
   FLINT_CHECK(outage.executor < count_);
   FLINT_CHECK(outage.end > outage.start);
   outages_.push_back(outage);
-}
-
-bool ExecutorPool::healthy_at(std::size_t executor, VirtualTime t) const {
-  FLINT_CHECK(executor < count_);
-  for (const auto& o : outages_)
-    if (o.executor == executor && t >= o.start && t < o.end) return false;
-  return true;
-}
-
-bool ExecutorPool::all_healthy_at(VirtualTime t) const {
-  for (const auto& o : outages_)
-    if (t >= o.start && t < o.end) return false;
-  return true;
 }
 
 VirtualTime ExecutorPool::next_all_healthy(VirtualTime t) const {
@@ -70,20 +40,8 @@ VirtualTime ExecutorPool::next_all_healthy(VirtualTime t) const {
 
 void ExecutorPool::record_task(std::size_t executor) {
   FLINT_CHECK(executor < count_);
-  ++tasks_run_[executor];
   if (auto* c = task_counters_[executor].resolve(task_counter_names_[executor].c_str()))
     c->add(1);
-}
-
-std::uint64_t ExecutorPool::tasks_run(std::size_t executor) const {
-  FLINT_CHECK(executor < count_);
-  return tasks_run_[executor];
-}
-
-std::uint64_t ExecutorPool::total_tasks_run() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t n : tasks_run_) total += n;
-  return total;
 }
 
 }  // namespace flint::sim

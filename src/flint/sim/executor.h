@@ -1,14 +1,13 @@
 // Executor pool: the simulated cluster workers that "poll tasks to run from
-// a leader node" (§3.4). Each executor owns a partition of clients (one
-// partition per executor, not one file per client) and can suffer outages;
-// the leader halts dispatching while any executor is unhealthy.
+// a leader node" (§3.4). Each executor owns the clients whose id is
+// congruent to its index and can suffer outages; the leader halts
+// dispatching while any executor is unhealthy.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "flint/data/client_dataset.h"
 #include "flint/obs/telemetry.h"
 #include "flint/sim/event_queue.h"
 
@@ -28,17 +27,11 @@ class ExecutorPool {
 
   std::size_t size() const { return count_; }
 
-  /// Install a client->executor assignment (defaults to client_id % size()).
-  void set_partitioning(const data::ExecutorPartitioning& partitioning);
-
-  /// The executor owning `client`.
+  /// The executor owning `client`: client_id % size().
   std::size_t executor_of(std::uint64_t client) const;
 
   void add_outage(ExecutorOutage outage);
   const std::vector<ExecutorOutage>& outages() const { return outages_; }
-
-  bool healthy_at(std::size_t executor, VirtualTime t) const;
-  bool all_healthy_at(VirtualTime t) const;
 
   /// Earliest time >= t at which every executor is healthy ("the leader node
   /// halts dispatching tasks until all executors have pinged it with a
@@ -46,22 +39,16 @@ class ExecutorPool {
   VirtualTime next_all_healthy(VirtualTime t) const;
 
   void record_task(std::size_t executor);
-  std::uint64_t tasks_run(std::size_t executor) const;
-  std::uint64_t total_tasks_run() const;
 
  private:
   std::size_t count_;
   std::vector<ExecutorOutage> outages_;
-  std::vector<std::uint64_t> tasks_run_;
   // Per-executor task counters exported as sim.executor.<i>.tasks so a trace
   // viewer can spot partition skew (one hot executor stalling the leader).
   // Names are built once here — record_task runs per dispatched task, and a
   // per-call std::string materialization was measurable in capacity runs.
   std::vector<obs::CachedCounter> task_counters_;
   std::vector<std::string> task_counter_names_;
-  // Sparse map from client to executor; empty = hash assignment.
-  std::vector<std::uint32_t> client_executor_;
-  bool has_partitioning_ = false;
 };
 
 }  // namespace flint::sim

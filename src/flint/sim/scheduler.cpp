@@ -88,11 +88,6 @@ void ArrivalScheduler::requeue(Arrival arrival, VirtualTime retry_time) {
   requeued_.push({arrival, next_requeue_seq_++});
 }
 
-std::size_t ArrivalScheduler::remaining_windows() const {
-  FLINT_CHECK_MSG(trace_ != nullptr, "remaining_windows() needs a trace-backed scheduler");
-  return trace_->windows().size() - cursor_;
-}
-
 std::vector<Arrival> ArrivalScheduler::requeued_snapshot() const {
   auto copy = requeued_;
   std::vector<Arrival> out;

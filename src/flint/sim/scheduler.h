@@ -51,10 +51,6 @@ class ArrivalScheduler {
   /// dispatched (busy executor, concurrency cap).
   void requeue(Arrival arrival, VirtualTime retry_time);
 
-  /// Windows not yet consumed from the trace (requeued arrivals excluded).
-  /// Trace-backed schedulers only: a stream does not know its length.
-  std::size_t remaining_windows() const;
-
   /// Windows already consumed from the source — the checkpoint cursor.
   std::size_t cursor() const { return cursor_; }
 

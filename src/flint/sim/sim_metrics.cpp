@@ -1,7 +1,6 @@
 #include "flint/sim/sim_metrics.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "flint/util/check.h"
 
@@ -116,15 +115,6 @@ void SimMetrics::restore(const store::CheckpointMetrics& snapshot) {
   checkpoints_.clear();
   checkpoints_.reserve(snapshot.checkpoints.size());
   for (const auto& c : snapshot.checkpoints) checkpoints_.push_back({c.round, c.time});
-}
-
-std::string SimMetrics::summary() const {
-  std::ostringstream os;
-  os << "tasks: started=" << tasks_started_ << " succeeded=" << tasks_succeeded_
-     << " interrupted=" << tasks_interrupted_ << " stale=" << tasks_stale_
-     << " failed=" << tasks_failed_ << "; rounds=" << rounds_.size()
-     << "; client_compute_h=" << client_compute_s_ / 3600.0;
-  return os.str();
 }
 
 }  // namespace flint::sim

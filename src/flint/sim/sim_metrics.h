@@ -76,8 +76,6 @@ class SimMetrics {
   /// Fraction of started tasks whose work was wasted (not aggregated).
   double waste_fraction() const;
 
-  std::string summary() const;
-
   /// Checkpointable copy of the accumulated state (counters, round records,
   /// checkpoint-write records). The attached ledger is snapshotted separately
   /// by the attribution layer that owns it.

@@ -426,16 +426,4 @@ std::size_t CheckpointStore::checkpoint_count() const {
   return n;
 }
 
-void CheckpointStore::prune(std::size_t keep) {
-  std::vector<std::pair<std::int64_t, fs::path>> files;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (entry.path().extension() != ".bin") continue;
-    std::int64_t seq = seq_of(entry.path());
-    if (seq >= 0) files.emplace_back(seq, entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  if (files.size() <= keep) return;
-  for (std::size_t i = 0; i + keep < files.size(); ++i) fs::remove(files[i].second);
-}
-
 }  // namespace flint::store

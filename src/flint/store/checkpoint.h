@@ -198,9 +198,6 @@ class CheckpointStore {
   /// Number of complete checkpoints on disk.
   std::size_t checkpoint_count() const;
 
-  /// Delete all but the most recent `keep` checkpoints.
-  void prune(std::size_t keep);
-
   const std::string& dir() const { return dir_; }
 
  private:

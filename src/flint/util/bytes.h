@@ -1,5 +1,5 @@
 // Byte-level (de)serialization helpers shared by every FLINT binary format
-// (model blobs, checkpoints, partition files, model-store versions).
+// (model blobs, checkpoints, rpc messages, telemetry snapshots).
 //
 // All object <-> byte conversions go through std::memcpy on
 // static_assert-verified trivially-copyable types: no reinterpret_cast reads,

@@ -1,7 +1,5 @@
 #include "flint/util/csv.h"
 
-#include "flint/util/check.h"
-
 namespace flint::util {
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
@@ -25,39 +23,5 @@ std::string CsvWriter::escape(const std::string& cell) {
 }
 
 CsvFile::CsvFile(const std::string& path) : file_(path), writer_(file_) {}
-
-std::vector<std::string> parse_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cur;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur.push_back(c);
-      }
-    } else {
-      if (c == '"') {
-        in_quotes = true;
-      } else if (c == ',') {
-        cells.push_back(std::move(cur));
-        cur.clear();
-      } else if (c == '\r') {
-        // Tolerate CRLF line endings.
-      } else {
-        cur.push_back(c);
-      }
-    }
-  }
-  cells.push_back(std::move(cur));
-  return cells;
-}
 
 }  // namespace flint::util

@@ -36,8 +36,4 @@ class CsvFile {
   CsvWriter writer_;
 };
 
-/// Parse one CSV line (handles quoted cells). Used by tests and by the
-/// checkpoint store's index files.
-std::vector<std::string> parse_csv_line(const std::string& line);
-
 }  // namespace flint::util

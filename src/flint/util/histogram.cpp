@@ -36,13 +36,6 @@ std::vector<double> Histogram::normalized_to_peak() const {
   return out;
 }
 
-std::vector<double> Histogram::normalized_to_sum() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  if (total_ <= 0.0) return out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) out[i] = counts_[i] / total_;
-  return out;
-}
-
 std::string Histogram::render(std::size_t width) const {
   std::ostringstream os;
   auto norm = normalized_to_peak();

@@ -26,9 +26,6 @@ class Histogram {
   /// Counts normalized so the max bin equals 1 (the paper's Figure 2 style).
   std::vector<double> normalized_to_peak() const;
 
-  /// Counts normalized to sum to 1.
-  std::vector<double> normalized_to_sum() const;
-
   /// Multi-line ASCII rendering for bench output.
   std::string render(std::size_t width = 50) const;
 

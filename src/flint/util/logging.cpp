@@ -39,28 +39,18 @@ Logger& Logger::instance() {
   return logger;
 }
 
-void Logger::set_sink(std::ostream* sink) {
-  MutexLock lock(mu_);
-  sink_ = sink;
-}
-
 void Logger::set_role(const std::string& role) {
   MutexLock lock(mu_);
   role_ = role;
-}
-
-std::string Logger::role() const {
-  MutexLock lock(mu_);
-  return role_;
 }
 
 void Logger::log(LogLevel level, const std::string& msg) {
   static const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
   if (!enabled(level)) return;  // callers may bypass the macros
   MutexLock lock(mu_);
-  // Unbuffered stderr by default for every level: diagnostic output must
-  // survive a killed process (debug logs are for exactly those situations).
-  std::ostream& out = sink_ != nullptr ? *sink_ : std::cerr;
+  // Unbuffered stderr for every level: diagnostic output must survive a
+  // killed process (debug logs are for exactly those situations).
+  std::ostream& out = std::cerr;
   out << timestamp_utc();
   if (!role_.empty()) {
     // flint-analyze: allow(nondet-source): the pid tag is diagnostic log

@@ -32,15 +32,10 @@ class Logger {
            static_cast<int>(level) >= static_cast<int>(level_.load(std::memory_order_relaxed));
   }
 
-  /// Redirect output (tests capture into an ostringstream). nullptr restores
-  /// the default sink, unbuffered stderr. The sink must outlive its use.
-  void set_sink(std::ostream* sink) FLINT_EXCLUDES(mu_);
-
   /// Tag every line with "[<pid>:<role>]" ("leader", "executor-2") so the
   /// interleaved stderr of a multi-process run stays attributable. Empty
   /// (the default) keeps the single-process format unchanged.
   void set_role(const std::string& role) FLINT_EXCLUDES(mu_);
-  std::string role() const FLINT_EXCLUDES(mu_);
 
   /// Emit a line if `level` passes the configured threshold. Serialized:
   /// concurrent calls never interleave within a line.
@@ -50,7 +45,6 @@ class Logger {
   Logger() = default;
   std::atomic<LogLevel> level_{LogLevel::kWarn};
   mutable Mutex mu_;  ///< serializes emission
-  std::ostream* sink_ FLINT_GUARDED_BY(mu_) = nullptr;  ///< nullptr = stderr
   std::string role_ FLINT_GUARDED_BY(mu_);  ///< empty = no pid:role tag
 };
 

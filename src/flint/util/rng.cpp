@@ -45,15 +45,6 @@ void seed_range(std::uint64_t* x, std::uint32_t from, std::uint32_t to) {
 
 }  // namespace
 
-Mt19937_64& Mt19937_64::operator=(const Mt19937_64& other) noexcept {
-  if (this == &other) return *this;
-  std::memcpy(x_, other.x_, other.seeded_ * sizeof(x_[0]));
-  pos_ = other.pos_;
-  ready_ = other.ready_;
-  seeded_ = other.seeded_;
-  return *this;
-}
-
 void Mt19937_64::refill() {
   if (ready_ == kWords) {
     // A drained block (or a restored state at position 312): batch twist.
@@ -249,8 +240,6 @@ std::int64_t Rng::poisson(double mean) {
   if (mean < 10.0) return poisson_inversion(engine_, mean);
   return poisson_ptrs(engine_, mean);
 }
-
-std::size_t Rng::zipf(std::size_t n, double s) { return ZipfTable(n, s).sample(*this); }
 
 std::vector<double> Rng::dirichlet(std::size_t k, double alpha) {
   return dirichlet(std::vector<double>(k, alpha));

@@ -36,10 +36,9 @@ class Mt19937_64 {
   static constexpr result_type max() { return ~result_type{0}; }
 
   explicit Mt19937_64(result_type seed) noexcept { x_[0] = seed; }
-  // Copies move only the words computed so far: the rest of a lazy state is
-  // never read before it is written.
-  Mt19937_64(const Mt19937_64& other) noexcept { *this = other; }
-  Mt19937_64& operator=(const Mt19937_64& other) noexcept;
+  // Not copyable: two copies of one stream would hand out the same draws.
+  Mt19937_64(const Mt19937_64&) = delete;
+  Mt19937_64& operator=(const Mt19937_64&) = delete;
 
   result_type operator()() {
     if (pos_ >= ready_) refill();
@@ -107,11 +106,6 @@ class Rng {
 
   /// Poisson draw with the given mean.
   std::int64_t poisson(double mean);
-
-  /// Zipf-distributed rank in [0, n) with exponent s >= 0; s = 0 degenerates
-  /// to uniform. Builds a ZipfTable for the one draw (O(n)); callers drawing
-  /// repeatedly from the same (n, s) should keep a ZipfTable instead.
-  std::size_t zipf(std::size_t n, double s);
 
   /// Dirichlet draw over k categories with symmetric concentration alpha.
   std::vector<double> dirichlet(std::size_t k, double alpha);

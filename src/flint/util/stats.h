@@ -14,13 +14,8 @@ class RunningStats {
  public:
   void add(double x);
 
-  /// Merge another accumulator (parallel reduction).
-  void merge(const RunningStats& other);
-
   std::size_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
-  /// Population variance; 0 for fewer than 2 samples.
-  double variance() const;
   /// Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
   double sample_variance() const;
   double stddev() const;

@@ -7,9 +7,8 @@ namespace flint::util {
 
 namespace {
 
-// The pool this thread works for. Plain thread_locals: a worker belongs to
+// This thread's worker index. A plain thread_local: a worker belongs to
 // exactly one pool for its whole lifetime.
-thread_local const ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_worker_index = ThreadPool::npos;
 
 }  // namespace
@@ -17,9 +16,7 @@ thread_local std::size_t tls_worker_index = ThreadPool::npos;
 ThreadPool::ThreadPool(std::size_t threads, ThreadPoolObserver observer)
     : observer_(std::move(observer)) {
   FLINT_CHECK_GT(threads, std::size_t{0});
-  busy_s_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    busy_s_.push_back(std::make_unique<std::atomic<double>>(0.0));
+  busy_s_.assign(threads, 0.0);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -41,18 +38,6 @@ std::size_t ThreadPool::hardware_threads() {
 
 std::size_t ThreadPool::worker_index() { return tls_worker_index; }
 
-const ThreadPool* ThreadPool::current_pool() { return tls_pool; }
-
-std::size_t ThreadPool::queue_depth() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
-double ThreadPool::busy_seconds(std::size_t i) const {
-  FLINT_CHECK_LT(i, busy_s_.size());
-  return busy_s_[i]->load(std::memory_order_relaxed);
-}
-
 void ThreadPool::enqueue(std::function<void()> fn) {
   std::size_t depth;
   {
@@ -67,7 +52,6 @@ void ThreadPool::enqueue(std::function<void()> fn) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  tls_pool = this;
   tls_worker_index = index;
   for (;;) {
     std::function<void()> task;
@@ -92,9 +76,8 @@ void ThreadPool::worker_loop(std::size_t index) {
     double spent =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    double total = busy_s_[index]->load(std::memory_order_relaxed) + spent;
-    busy_s_[index]->store(total, std::memory_order_relaxed);
-    if (observer_.on_worker_busy) observer_.on_worker_busy(index, total);
+    busy_s_[index] += spent;
+    if (observer_.on_worker_busy) observer_.on_worker_busy(index, busy_s_[index]);
     {
       MutexLock lock(mu_);
       busy = --busy_;

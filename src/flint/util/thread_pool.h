@@ -14,7 +14,6 @@
 // (fl::TrainerPool publishes util.pool.* — see trainer_pool.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -76,15 +75,6 @@ class ThreadPool {
   /// Index of the calling pool worker in [0, size()), or npos off-pool.
   static std::size_t worker_index();
 
-  /// The pool the calling thread works for, or nullptr off-pool.
-  static const ThreadPool* current_pool();
-
-  /// Tasks queued but not yet started.
-  std::size_t queue_depth() const FLINT_EXCLUDES(mu_);
-
-  /// Cumulative wall seconds worker `i` has spent inside task bodies.
-  double busy_seconds(std::size_t i) const;
-
  private:
   void enqueue(std::function<void()> fn) FLINT_EXCLUDES(mu_);
   void worker_loop(std::size_t index) FLINT_EXCLUDES(mu_);
@@ -95,9 +85,9 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ FLINT_GUARDED_BY(mu_);
   bool stop_ FLINT_GUARDED_BY(mu_) = false;
   std::size_t busy_ FLINT_GUARDED_BY(mu_) = 0;
-  // Slot i is written only by worker i and read by anyone, so plain atomic
-  // store/load suffices (unique_ptr because atomics are not movable).
-  std::vector<std::unique_ptr<std::atomic<double>>> busy_s_;
+  // Cumulative wall seconds worker i has spent inside task bodies, reported
+  // through on_worker_busy. Slot i is touched only by worker i.
+  std::vector<double> busy_s_;
   std::vector<std::thread> workers_;  // flint-lint: allow(raw-thread): the pool itself
 };
 

@@ -112,47 +112,6 @@ TEST(TopK, CapturesMostEnergyOnHeavyTailedUpdates) {
   EXPECT_GT(l2(densify(s)) / (l2(update) + 1e-12), 0.999);
 }
 
-// ---------------------------------------------------------- ErrorFeedback
-
-TEST(ErrorFeedback, ResidualCarriesDroppedMass) {
-  ErrorFeedback ef(4);
-  std::vector<float> update = {1.0f, 0.1f, 0.2f, 2.0f};
-  SparseUpdate s = ef.compress(update, 2);
-  // Kept: indices 0 and 3. Residual holds the dropped 0.1 and 0.2.
-  EXPECT_EQ(ef.residual()[0], 0.0f);
-  EXPECT_FLOAT_EQ(ef.residual()[1], 0.1f);
-  EXPECT_FLOAT_EQ(ef.residual()[2], 0.2f);
-  EXPECT_EQ(ef.residual()[3], 0.0f);
-  (void)s;
-}
-
-TEST(ErrorFeedback, SmallCoordinatesEventuallyTransmitted) {
-  // A constant small coordinate must accumulate and eventually be sent.
-  ErrorFeedback ef(3);
-  bool sent_small = false;
-  for (int step = 0; step < 30; ++step) {
-    std::vector<float> update = {1.0f, 0.1f, -1.0f};
-    SparseUpdate s = ef.compress(update, 2);
-    for (std::uint32_t idx : s.indices)
-      if (idx == 1) sent_small = true;
-  }
-  EXPECT_TRUE(sent_small);
-}
-
-TEST(ErrorFeedback, ResetClearsState) {
-  ErrorFeedback ef(2);
-  std::vector<float> update = {1.0f, 0.5f};
-  ef.compress(update, 1);
-  ef.reset();
-  for (float v : ef.residual()) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(ErrorFeedback, DimMismatchThrows) {
-  ErrorFeedback ef(3);
-  std::vector<float> wrong = {1.0f};
-  EXPECT_THROW(ef.compress(wrong, 1), util::CheckError);
-}
-
 // Property sweep: the symmetric int8 scheme guarantees per-element
 // |x - dequantize(quantize(x))| <= scale/2 — max-abs/127 scaling means no
 // value saturates, so the only loss is round-to-nearest. Holds across sizes
@@ -172,31 +131,6 @@ TEST(QuantizeInt8, RoundTripErrorWithinHalfScaleProperty) {
         EXPECT_LE(std::abs(update[i] - back[i]), bound)
             << "element " << i << " at n=" << n << " magnitude=" << magnitude;
     }
-  }
-}
-
-// Error-feedback accumulation is deterministic: two instances fed the same
-// update stream produce bit-identical sparse updates and residuals at every
-// step. The leader's fixed-order reduction (DESIGN.md §10) relies on the
-// executor-side compression being a pure function of its inputs.
-TEST(ErrorFeedback, AccumulationDeterministicAcrossInstances) {
-  constexpr std::size_t kDim = 64;
-  util::Rng rng(321);
-  std::vector<std::vector<float>> stream;
-  for (int step = 0; step < 25; ++step) stream.push_back(random_update(kDim, rng));
-  // Exact ties in magnitude exercise the tie-break ordering too.
-  stream[5].assign(kDim, 0.25f);
-
-  ErrorFeedback a(kDim), b(kDim);
-  for (const auto& update : stream) {
-    SparseUpdate sa = a.compress(update, 16);
-    SparseUpdate sb = b.compress(update, 16);
-    ASSERT_EQ(sa.indices, sb.indices);
-    ASSERT_EQ(sa.values.size(), sb.values.size());
-    EXPECT_EQ(0, std::memcmp(sa.values.data(), sb.values.data(),
-                             sa.values.size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(a.residual().data(), b.residual().data(),
-                             kDim * sizeof(float)));
   }
 }
 

@@ -38,7 +38,7 @@ fl::AsyncConfig smoke_config(const device::AvailabilityTrace& trace,
 
 TEST(ConcurrencySmoke, ParallelFedBuffRunsAreIndependent) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(40, 1e7);
   std::vector<std::uint32_t> counts(40, 20);
 

@@ -22,7 +22,9 @@ TEST(DeviceCatalog, StandardHas27Devices) {
 
 TEST(DeviceCatalog, SpeedNormalizedToUnitMean) {
   auto catalog = DeviceCatalog::standard();
-  EXPECT_NEAR(catalog.mean_speed(), 1.0, 1e-9);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < catalog.size(); ++i) sum += catalog.profile(i).speed_multiplier;
+  EXPECT_NEAR(sum / static_cast<double>(catalog.size()), 1.0, 1e-9);
   // Heterogeneity spread comparable to Table 5's stdev/mean (~0.7).
   EXPECT_GT(catalog.stddev_speed(), 0.4);
   EXPECT_LT(catalog.stddev_speed(), 1.0);
@@ -30,10 +32,19 @@ TEST(DeviceCatalog, SpeedNormalizedToUnitMean) {
 
 TEST(DeviceCatalog, OsPassFractionMatchesTable1C) {
   auto catalog = DeviceCatalog::standard();
+  // Popularity-weighted share of users whose OS release is >= min_release.
+  auto pass_fraction = [&catalog](int min_release) {
+    double pass = 0.0, total = 0.0;
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+      total += catalog.profile(i).popularity;
+      if (catalog.profile(i).os_release >= min_release) pass += catalog.profile(i).popularity;
+    }
+    return pass / total;
+  };
   // Criterion C: OS release >= Sept 2019 — paper reports 93%.
-  EXPECT_NEAR(catalog.os_pass_fraction(201909), 0.93, 0.03);
-  EXPECT_DOUBLE_EQ(catalog.os_pass_fraction(0), 1.0);
-  EXPECT_DOUBLE_EQ(catalog.os_pass_fraction(999912), 0.0);
+  EXPECT_NEAR(pass_fraction(201909), 0.93, 0.03);
+  EXPECT_DOUBLE_EQ(pass_fraction(0), 1.0);
+  EXPECT_DOUBLE_EQ(pass_fraction(999912), 0.0);
 }
 
 TEST(DeviceCatalog, SamplingFollowsPopularity) {
@@ -62,8 +73,9 @@ TEST(DeviceCatalog, RejectsEmptyAndInvalid) {
 
 TEST(HardwareDistribution, AndroidMoreDiverseThanIos) {
   auto catalog = DeviceCatalog::standard();
-  auto ios = hardware_distribution(catalog, Os::kIos);
-  auto android = hardware_distribution(catalog, Os::kAndroid);
+  util::Rng rng(4);
+  auto ios = sampled_hardware_distribution(catalog, Os::kIos, 200000, rng);
+  auto android = sampled_hardware_distribution(catalog, Os::kAndroid, 200000, rng);
   // Figure 1's headline: Android entropy (diversity) exceeds iOS.
   EXPECT_GT(android.entropy_bits, ios.entropy_bits);
   EXPECT_GT(ios.top3_share, android.top3_share);
@@ -82,7 +94,8 @@ TEST(HardwareDistribution, AndroidMoreDiverseThanIos) {
 
 TEST(HardwareDistribution, OtherShareShrinksWithLegend) {
   auto catalog = DeviceCatalog::standard();
-  auto android = hardware_distribution(catalog, Os::kAndroid);
+  util::Rng rng(6);
+  auto android = sampled_hardware_distribution(catalog, Os::kAndroid, 200000, rng);
   EXPECT_GT(android.other_share(3), android.other_share(10));
   EXPECT_DOUBLE_EQ(android.other_share(100), 0.0);
 }
@@ -90,10 +103,18 @@ TEST(HardwareDistribution, OtherShareShrinksWithLegend) {
 TEST(HardwareDistribution, SampledConvergesToExact) {
   auto catalog = DeviceCatalog::standard();
   util::Rng rng(5);
-  auto exact = hardware_distribution(catalog, Os::kIos);
+  // The exact distribution: popularity over the iOS devices, top share first.
+  double total = 0.0;
+  std::size_t top = 0;
+  for (std::size_t i : catalog.devices_with_os(Os::kIos)) {
+    total += catalog.profile(i).popularity;
+    if (catalog.profile(i).popularity > catalog.profile(top).popularity ||
+        catalog.profile(top).os != Os::kIos)
+      top = i;
+  }
   auto sampled = sampled_hardware_distribution(catalog, Os::kIos, 200000, rng);
-  EXPECT_NEAR(sampled.shares[0].share, exact.shares[0].share, 0.01);
-  EXPECT_EQ(sampled.shares[0].name, exact.shares[0].name);
+  EXPECT_NEAR(sampled.shares[0].share, catalog.profile(top).popularity / total, 0.01);
+  EXPECT_EQ(sampled.shares[0].name, catalog.profile(top).name);
 }
 
 // ---------------------------------------------------------------- Sessions
@@ -218,15 +239,10 @@ TEST(AvailabilityTrace, WindowQueries) {
   AvailabilityTrace trace(windows);
   EXPECT_EQ(trace.window_count(), 3u);
   EXPECT_EQ(trace.client_count(), 2u);
-  EXPECT_TRUE(trace.is_available(1, 150.0, 10.0));
-  EXPECT_FALSE(trace.is_available(1, 150.0, 100.0));  // runs past window end
-  EXPECT_FALSE(trace.is_available(1, 250.0, 10.0));   // gap between windows
-  EXPECT_TRUE(trace.is_available(2, 400.0, 50.0));
-  EXPECT_FALSE(trace.is_available(99, 100.0, 1.0));
   EXPECT_DOUBLE_EQ(trace.horizon(), 500.0);
-  auto w = trace.window_at(1, 350.0);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_DOUBLE_EQ(w->start, 300.0);
+  // Sorted by start: client 2's window opens first.
+  EXPECT_EQ(trace.windows().front().client_id, 2u);
+  EXPECT_DOUBLE_EQ(trace.windows().back().start, 300.0);
 }
 
 TEST(AvailabilityTrace, Figure2FluctuationIsLarge) {
@@ -253,7 +269,6 @@ TEST(AvailabilityTrace, EmptyTraceBehaves) {
   EXPECT_EQ(trace.window_count(), 0u);
   EXPECT_EQ(trace.client_count(), 0u);
   EXPECT_DOUBLE_EQ(trace.horizon(), 0.0);
-  EXPECT_FALSE(trace.is_available(0, 0.0, 1.0));
 }
 
 }  // namespace

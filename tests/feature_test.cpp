@@ -3,7 +3,6 @@
 #include "flint/feature/feature_cache.h"
 #include "flint/feature/feature_catalog.h"
 #include "flint/feature/feature_hashing.h"
-#include "flint/feature/transform.h"
 #include "flint/feature/vocab.h"
 
 namespace flint::feature {
@@ -14,40 +13,20 @@ namespace {
 TEST(Vocab, BuildKeepsMostFrequent) {
   Vocab v = Vocab::build({{"rare", 1}, {"common", 100}, {"mid", 10}}, 2);
   EXPECT_EQ(v.size(), 2u);
-  EXPECT_EQ(v.lookup("common"), 1);
-  EXPECT_EQ(v.lookup("mid"), 2);
-  EXPECT_EQ(v.lookup("rare"), kOovId);
-  EXPECT_EQ(v.lookup("never-seen"), kOovId);
+  // "common" and "mid" survive; "rare" (4 bytes) does not.
+  EXPECT_EQ(v.asset_bytes(), 7u + 4u);
 }
 
 TEST(Vocab, TiesBrokenLexicographically) {
-  Vocab v = Vocab::build({{"zebra", 5}, {"apple", 5}}, 2);
-  EXPECT_EQ(v.lookup("apple"), 1);
-  EXPECT_EQ(v.lookup("zebra"), 2);
-}
-
-TEST(Vocab, ReverseLookup) {
-  Vocab v = Vocab::build({{"a", 2}, {"b", 1}}, 10);
-  EXPECT_EQ(v.reverse_lookup(1).value(), "a");
-  EXPECT_FALSE(v.reverse_lookup(0).has_value());
-  EXPECT_FALSE(v.reverse_lookup(5).has_value());
-}
-
-TEST(Vocab, SerializeRoundTrip) {
-  Vocab v = Vocab::build({{"alpha", 3}, {"beta", 2}, {"gamma", 1}}, 3);
-  Vocab back = Vocab::parse(v.serialize());
-  EXPECT_EQ(back.size(), 3u);
-  EXPECT_EQ(back.lookup("beta"), v.lookup("beta"));
+  // Equal frequencies, room for one: "ab" sorts before "zzz".
+  Vocab v = Vocab::build({{"zzz", 5}, {"ab", 5}}, 1);
+  EXPECT_EQ(v.asset_bytes(), 3u);
 }
 
 TEST(Vocab, AssetBytesCountsPayload) {
-  Vocab v = Vocab::build({{"ab", 1}, {"cde", 1}}, 2);
+  Vocab v = Vocab::build({{"ab", 1}, {"cde", 1}, {"ab", 1}}, 3);
+  EXPECT_EQ(v.size(), 2u);  // duplicates collapse
   EXPECT_EQ(v.asset_bytes(), 2u + 1u + 3u + 1u);
-  EXPECT_EQ(v.serialize().size(), v.asset_bytes());
-}
-
-TEST(Vocab, DuplicateTokenInParseThrows) {
-  EXPECT_THROW(Vocab::parse("a\na\n"), util::CheckError);
 }
 
 // ------------------------------------------------------------------ Hashing
@@ -57,8 +36,6 @@ TEST(FeatureHasher, StableAndInRange) {
   for (const char* token : {"user:123", "country:US", "x"}) {
     EXPECT_EQ(h.bucket(token), h.bucket(token));
     EXPECT_LT(h.bucket(token), 64u);
-    int s = h.sign(token);
-    EXPECT_TRUE(s == 1 || s == -1);
   }
 }
 
@@ -149,14 +126,6 @@ TEST(FeatureCache, OverwriteUpdatesBytes) {
   EXPECT_EQ((*cache.get("k"))[0], 2.0f);
 }
 
-TEST(FeatureCache, ClearResetsContents) {
-  FeatureCache cache(1024);
-  cache.put("k", {1.0f});
-  cache.clear();
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_FALSE(cache.contains("k"));
-}
-
 // ------------------------------------------------------------ FeatureCatalog
 
 FeatureCatalog sample_catalog() {
@@ -173,8 +142,6 @@ FeatureCatalog sample_catalog() {
 TEST(FeatureCatalog, RegisterAndLookup) {
   FeatureCatalog catalog = sample_catalog();
   EXPECT_EQ(catalog.size(), 3u);
-  EXPECT_TRUE(catalog.has("device/context"));
-  EXPECT_FALSE(catalog.has("nope"));
   EXPECT_EQ(catalog.feature("cloud/embedding").value_bytes, 4096u);
   EXPECT_THROW(catalog.feature("nope"), util::CheckError);
   EXPECT_THROW(catalog.register_feature({.name = "device/context"}), util::CheckError);
@@ -223,25 +190,6 @@ TEST(DeviceFeatureRuntime, LatencyAccumulates) {
   // RTT (0.1s) + 4096 bytes over 1 Mbps (~0.033s).
   EXPECT_GT(runtime.stats().total_latency_s, 0.1);
   EXPECT_LT(runtime.stats().total_latency_s, 0.2);
-}
-
-// ---------------------------------------------------------------- Transform
-
-TEST(TokenEncoder, VocabVsHashing) {
-  Vocab v = Vocab::build({{"apple", 5}, {"pear", 2}}, 10);
-  TokenEncoder with_vocab = TokenEncoder::with_vocab(v);
-  TokenEncoder with_hash = TokenEncoder::with_hashing(256);
-
-  auto enc_v = with_vocab.encode({"apple", "unknown", "pear"});
-  EXPECT_EQ(enc_v, (std::vector<std::int32_t>{1, kOovId, 2}));
-  EXPECT_GT(with_vocab.asset_bytes(), 0u);
-  EXPECT_EQ(with_vocab.id_space(), 3u);
-
-  auto enc_h = with_hash.encode({"apple", "unknown", "pear"});
-  EXPECT_EQ(enc_h.size(), 3u);
-  for (auto id : enc_h) EXPECT_LT(id, 256);
-  EXPECT_EQ(with_hash.asset_bytes(), 0u);  // hashing needs no vocab file
-  EXPECT_EQ(with_hash.id_space(), 256u);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(FedProx, RunsInsideFedAvg) {
   util::Rng rng(43);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(40, 1e9);
   auto model = task.make_model(rng);
   double before = task.evaluate(*model);
@@ -76,7 +76,7 @@ TEST_P(CompressedTrainingTest, FedBuffStillLearns) {
   util::Rng rng(44);
   auto task = test::small_task(rng, 50);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(50, 1e9);
   auto model = task.make_model(rng);
   double before = task.evaluate(*model);
@@ -106,7 +106,7 @@ TEST(CompressedTraining, SmallerUpdatesShortenCommTime) {
   util::Rng rng(45);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel slow_net(0.5);  // comm-dominated regime
+  test::FixedBandwidthModel slow_net(0.5);  // comm-dominated regime
   auto model = task.make_model(rng);
 
   auto run_with = [&](compress::CompressionKind kind) {
@@ -131,7 +131,7 @@ TEST(ServerMomentum, ChangesTrajectoryAndStillLearns) {
   util::Rng rng(46);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto model = task.make_model(rng);
   double before = task.evaluate(*model);
 

@@ -30,7 +30,7 @@ SyncConfig model_free_config(const device::AvailabilityTrace& trace,
 
 TEST(FedAvg, ModelFreeRunsToMaxRounds) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(40, 1e7);
   std::vector<std::uint32_t> counts(40, 20);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -47,7 +47,7 @@ TEST(FedAvg, ModelFreeRunsToMaxRounds) {
 
 TEST(FedAvg, DeterministicForSameSeed) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace_a = test::staggered_trace(60, 5000.0, 60.0);
   auto trace_b = test::staggered_trace(60, 5000.0, 60.0);
   std::vector<std::uint32_t> counts(60, 15);
@@ -63,7 +63,7 @@ TEST(FedAvg, DeterministicForSameSeed) {
 
 TEST(FedAvg, ShortWindowsCauseInterruptions) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   // Windows of 30s; tasks need 0.05s * 20000 examples = 1000s of compute
   // even on the fastest device, so every dispatch is cut off by window end.
   auto trace = test::staggered_trace(50, 30.0, 10.0);
@@ -78,7 +78,7 @@ TEST(FedAvg, ShortWindowsCauseInterruptions) {
 
 TEST(FedAvg, DeadlineBoundsRoundDuration) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(30, 1e7);
   std::vector<std::uint32_t> counts(30, 50);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -91,7 +91,7 @@ TEST(FedAvg, DeadlineBoundsRoundDuration) {
 
 TEST(FedAvg, ExecutorOutageDelaysDispatch) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(30, 1e7);
   std::vector<std::uint32_t> counts(30, 20);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -106,7 +106,7 @@ TEST(FedAvg, RealTrainingImprovesMetric) {
   util::Rng rng(7);
   auto task = test::small_task(rng, 60);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(60, 1e9);
   auto model = task.make_model(rng);
   double before = task.evaluate(*model);
@@ -129,7 +129,7 @@ TEST(FedAvg, DpRunCompletesWithReasonableMetric) {
   util::Rng rng(8);
   auto task = test::small_task(rng, 50);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(50, 1e9);
   auto model = task.make_model(rng);
 
@@ -152,7 +152,7 @@ TEST(FedAvg, EvalCadenceProducesCurve) {
   util::Rng rng(9);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(40, 1e9);
   auto model = task.make_model(rng);
 

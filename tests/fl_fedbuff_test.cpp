@@ -33,7 +33,7 @@ AsyncConfig model_free_config(const device::AvailabilityTrace& trace,
 
 TEST(FedBuff, ModelFreeReachesTargetAggregations) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(50, 1e7);
   std::vector<std::uint32_t> counts(50, 20);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -47,7 +47,7 @@ TEST(FedBuff, ModelFreeReachesTargetAggregations) {
 
 TEST(FedBuff, DeterministicForSameSeed) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace_a = test::staggered_trace(80, 4000.0, 30.0);
   auto trace_b = test::staggered_trace(80, 4000.0, 30.0);
   std::vector<std::uint32_t> counts(80, 25);
@@ -63,7 +63,7 @@ TEST(FedBuff, DeterministicForSameSeed) {
 
 TEST(FedBuff, RoundRecordsTrackBufferFills) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(40, 1e7);
   std::vector<std::uint32_t> counts(40, 20);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -78,7 +78,7 @@ TEST(FedBuff, RoundRecordsTrackBufferFills) {
 
 TEST(FedBuff, ShortWindowsProduceInterruptions) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::staggered_trace(60, 20.0, 5.0);  // 20s windows
   std::vector<std::uint32_t> counts(60, 2000);        // ~100s tasks
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -90,7 +90,7 @@ TEST(FedBuff, ShortWindowsProduceInterruptions) {
 
 TEST(FedBuff, TightStalenessDiscardsUpdates) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(100, 1e7);
   // Heterogeneous partition sizes: some clients are 50x slower, so their
   // updates arrive many versions late.
@@ -110,7 +110,7 @@ TEST(FedBuff, TightStalenessDiscardsUpdates) {
 TEST(FedBuff, HigherConcurrencyMoreStaleness) {
   // Figure 8's trend: higher concurrency -> more stale tasks.
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(300, 40);
   auto run_with_concurrency = [&](std::size_t concurrency) {
     auto trace = test::always_available(300, 1e7);
@@ -133,7 +133,7 @@ TEST(FedBuff, CheckpointsWrittenAtCadence) {
   store::CheckpointStore ckpt(dir.string());
 
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   auto trace = test::always_available(40, 1e7);
   std::vector<std::uint32_t> counts(40, 20);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -152,7 +152,7 @@ TEST(FedBuff, RealTrainingImprovesMetric) {
   util::Rng rng(11);
   auto task = test::small_task(rng, 60);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(60, 1e9);
   auto model = task.make_model(rng);
   double before = task.evaluate(*model);
@@ -173,7 +173,7 @@ TEST(FedBuff, FasterThanFedAvgUnderHeavyTails) {
   // Table 3's headline: async pipelining wins when task durations are
   // heavy-tailed. Same universe, same target update count.
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   util::Rng rng(13);
   std::vector<std::uint32_t> counts(400);
   for (auto& c : counts)
@@ -220,7 +220,7 @@ TEST(RunnerTelemetry, BothRunnersEmitTheSameRoundAndDispatchSeries) {
   // (FedAvg) and tasks still in flight at the last aggregation (FedBuff)
   // make stragglers, so dispatched != aggregated.
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(80, 25);
   for (bool fedbuff : {false, true}) {
     SCOPED_TRACE(fedbuff ? "fedbuff" : "fedavg");

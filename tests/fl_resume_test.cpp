@@ -71,7 +71,7 @@ class Harness {
     auto trace = o.interruption_prone_trace ? mixed_trace(40, 1e7)
                                             : test::always_available(40, 1e7);
     auto catalog = device::DeviceCatalog::standard();
-    net::FixedBandwidthModel bw(10.0);
+    test::FixedBandwidthModel bw(10.0);
     SyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     apply_options(cfg.inputs, o, store, resume_from);
@@ -91,7 +91,7 @@ class Harness {
     auto trace = o.interruption_prone_trace ? mixed_trace(40, 1e7)
                                             : test::always_available(40, 1e7);
     auto catalog = device::DeviceCatalog::standard();
-    net::FixedBandwidthModel bw(10.0);
+    test::FixedBandwidthModel bw(10.0);
     AsyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     apply_options(cfg.inputs, o, store, resume_from);

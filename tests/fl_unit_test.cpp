@@ -12,6 +12,7 @@
 #include "flint/fl/task_duration.h"
 #include "flint/fl/trainer.h"
 #include "flint/ml/kernels/kernels.h"
+#include "test_helpers.h"
 
 namespace flint::fl {
 namespace {
@@ -44,18 +45,10 @@ TEST(LrSchedule, MinLrFloor) {
   EXPECT_DOUBLE_EQ(s.at(100), 0.05);
 }
 
-TEST(LrSchedule, InverseSqrtWarmupAndDecay) {
-  auto s = LrSchedule::inverse_sqrt(1.0, 10);
-  EXPECT_LT(s.at(0), 0.2);                  // warming up
-  EXPECT_NEAR(s.at(10), 1.0, 0.01);         // fully warm
-  EXPECT_NEAR(s.at(40), 0.5, 0.01);         // 1/sqrt(4)
-}
-
 TEST(LrSchedule, RejectsBadParams) {
   EXPECT_THROW(LrSchedule::constant(0.0), util::CheckError);
   EXPECT_THROW(LrSchedule::exponential_decay(0.1, 1.5, 10), util::CheckError);
   EXPECT_THROW(LrSchedule::exponential_decay(0.1, 0.5, 0), util::CheckError);
-  EXPECT_THROW(LrSchedule::inverse_sqrt(0.1, 0), util::CheckError);
 }
 
 // -------------------------------------------------------------- Aggregation
@@ -103,7 +96,7 @@ TEST(ApplyServerUpdate, ScalesByServerLr) {
 TEST(TaskDuration, FormulaComponents) {
   // Fixed bandwidth and no jitter: duration = t*E*D + 2M/N exactly.
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(8.0);  // 1 MB/s
+  test::FixedBandwidthModel bw(8.0);  // 1 MB/s
   TaskDurationConfig cfg;
   cfg.base_time_per_example_s = 0.01;
   cfg.local_epochs = 2;
@@ -123,7 +116,7 @@ TEST(TaskDuration, FormulaComponents) {
 
 TEST(TaskDuration, SlowerDevicesTakeLonger) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(100.0);
+  test::FixedBandwidthModel bw(100.0);
   TaskDurationConfig cfg;
   cfg.base_time_per_example_s = 0.01;
   cfg.jitter_sigma = 1e-9;
@@ -149,7 +142,7 @@ TEST(TaskDuration, FromSpecUsesCalibration) {
 
 TEST(TaskDuration, LowBandwidthDominatedByComm) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel slow_net(0.5);
+  test::FixedBandwidthModel slow_net(0.5);
   TaskDurationConfig cfg;
   cfg.base_time_per_example_s = 1e-5;
   cfg.update_bytes = 5'000'000;
@@ -161,7 +154,7 @@ TEST(TaskDuration, LowBandwidthDominatedByComm) {
 
 TEST(TaskDuration, RejectsZeroExamples) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   TaskDurationModel model(TaskDurationConfig{}, catalog, bw);
   util::Rng rng(4);
   EXPECT_THROW(model.sample(0, 0, rng), util::CheckError);

@@ -57,7 +57,7 @@ TEST(Integration, CheckpointRecoveryLosesAtMostOneCadence) {
   util::Rng rng(23);
   auto task = test::small_task(rng, 50);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(50, 1e9);
   auto model = task.make_model(rng);
 
@@ -105,7 +105,7 @@ TEST(Integration, ProxyHeterogeneityAffectsConvergenceStability) {
     util::Rng task_rng(31);
     auto task = data::make_synthetic_task(cfg, task_rng);
     auto catalog = device::DeviceCatalog::standard();
-    net::FixedBandwidthModel bw(50.0);
+    test::FixedBandwidthModel bw(50.0);
     auto trace = test::always_available(60, 1e9);
     auto model = task.make_model(task_rng);
     fl::AsyncConfig fcfg;
@@ -123,53 +123,6 @@ TEST(Integration, ProxyHeterogeneityAffectsConvergenceStability) {
   for (const auto& trial : heterogeneous.trials) {
     EXPECT_GT(trial.final_metric, 0.0);
     EXPECT_LE(trial.final_metric, 1.0);
-  }
-}
-
-TEST(Integration, ModelStoreRoundTripsTrainedModel) {
-  util::Rng rng(27);
-  auto task = test::small_task(rng, 40);
-  auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
-  auto trace = test::always_available(40, 1e9);
-  auto model = task.make_model(rng);
-
-  fl::AsyncConfig cfg;
-  test::wire_inputs(cfg.inputs, task, *model, trace, catalog, bw);
-  cfg.inputs.max_rounds = 10;
-  cfg.buffer_size = 4;
-  cfg.max_concurrency = 8;
-  fl::RunResult r = fl::run_fedbuff(cfg);
-
-  store::ModelStore store;
-  store.put("trained", r.final_parameters, "round-10", r.virtual_duration_s);
-
-  namespace fs = std::filesystem;
-  auto dir = fs::temp_directory_path() / "flint_integration_store";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  store.save_to_dir(dir.string());
-  auto loaded = store::ModelStore::load_from_dir(dir.string());
-  auto version = loaded.latest("trained");
-  ASSERT_TRUE(version.has_value());
-
-  auto restored = task.make_model(rng);
-  restored->set_flat_parameters(version->parameters);
-  EXPECT_NEAR(task.evaluate(*restored), r.final_metric, 1e-9);
-  fs::remove_all(dir);
-}
-
-TEST(Integration, ExecutorPartitioningFeedsPool) {
-  util::Rng rng(29);
-  auto task = test::small_task(rng, 30);
-  auto parts = data::partition_round_robin(task.train, 4);
-  sim::ExecutorPool pool(4);
-  pool.set_partitioning(parts);
-  // Every client routed to its assigned executor.
-  for (const auto& client : task.train.clients()) {
-    int expected = parts.executor_of(client.client_id);
-    ASSERT_GE(expected, 0);
-    EXPECT_EQ(pool.executor_of(client.client_id), static_cast<std::size_t>(expected));
   }
 }
 

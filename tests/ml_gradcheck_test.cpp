@@ -7,6 +7,7 @@
 #include "flint/ml/loss.h"
 #include "flint/ml/model.h"
 #include "flint/util/rng.h"
+#include "test_helpers.h"
 
 namespace flint::ml {
 namespace {
@@ -40,7 +41,7 @@ void check_model_gradients(Model& model, const Batch& batch, double tol = 3e-3) 
                         : multitask_bce(logits, {batch.labels, batch.labels2});
   model.zero_grad();
   model.backward(loss.d_logits);
-  std::vector<float> analytic = model.get_flat_gradients();
+  std::vector<float> analytic = test::flat_gradients(model);
   std::vector<float> params = model.get_flat_parameters();
 
   const float eps = 1e-3f;

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "flint/util/rng.h"
+#include "test_helpers.h"
 
 namespace flint::ml {
 namespace {
@@ -98,7 +99,7 @@ TEST(DenseLayer, ForwardKnownValues) {
   layer.parameters()[0]->value.at(0, 0) = 1.0f;
   layer.parameters()[0]->value.at(1, 0) = 2.0f;
   layer.parameters()[1]->value[0] = 0.5f;
-  Tensor in(1, 2, {3.0f, 4.0f});
+  Tensor in = test::tensor(1, 2, {3.0f, 4.0f});
   Tensor out = layer.forward(in);
   EXPECT_FLOAT_EQ(out.at(0, 0), 3.0f + 8.0f + 0.5f);
 }
@@ -112,12 +113,12 @@ TEST(DenseLayer, WrongInputWidthThrows) {
 TEST(ReluLayer, ForwardAndGradientMask) {
   util::Rng rng(2);
   ReluLayer relu;
-  Tensor in(1, 4, {-1.0f, 2.0f, 0.0f, -3.0f});
+  Tensor in = test::tensor(1, 4, {-1.0f, 2.0f, 0.0f, -3.0f});
   Tensor out = relu.forward(in);
   EXPECT_EQ(out[0], 0.0f);
   EXPECT_EQ(out[1], 2.0f);
   Tensor g(1, 4);
-  g.fill(1.0f);
+  std::fill(g.flat().begin(), g.flat().end(), 1.0f);
   Tensor din = relu.backward(g);
   EXPECT_EQ(din[0], 0.0f);
   EXPECT_EQ(din[1], 1.0f);
@@ -150,8 +151,8 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 TEST(ReluLayer, MatchesReferenceOnSignedZerosAndNan) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
-  Tensor in(2, 5, {-0.0f, 0.0f, nan, 1.5f, -1.5f, -nan, inf, -inf, 1e-40f, -1e-40f});
-  Tensor g(2, 5, {1.0f, -2.0f, 3.0f, -4.0f, 5.0f, -6.0f, 7.0f, -8.0f, 9.0f, -10.0f});
+  Tensor in = test::tensor(2, 5, {-0.0f, 0.0f, nan, 1.5f, -1.5f, -nan, inf, -inf, 1e-40f, -1e-40f});
+  Tensor g = test::tensor(2, 5, {1.0f, -2.0f, 3.0f, -4.0f, 5.0f, -6.0f, 7.0f, -8.0f, 9.0f, -10.0f});
   ReluLayer relu;
   Tensor out = relu.forward(in);
   Tensor din = relu.backward(g);

@@ -5,6 +5,7 @@
 #include "flint/ml/loss.h"
 #include "flint/ml/metrics.h"
 #include "flint/util/check.h"
+#include "test_helpers.h"
 
 namespace flint::ml {
 namespace {
@@ -12,34 +13,34 @@ namespace {
 // ---------------------------------------------------------------------- BCE
 
 TEST(BceWithLogits, KnownValue) {
-  Tensor logits(1, 1, {0.0f});
+  Tensor logits = test::tensor(1, 1, {0.0f});
   auto r = bce_with_logits(logits, {1.0f});
   EXPECT_NEAR(r.loss, std::log(2.0), 1e-6);
   EXPECT_NEAR(r.d_logits.at(0, 0), 0.5f - 1.0f, 1e-6);
 }
 
 TEST(BceWithLogits, PerfectPredictionLowLoss) {
-  Tensor logits(2, 1, {20.0f, -20.0f});
+  Tensor logits = test::tensor(2, 1, {20.0f, -20.0f});
   auto r = bce_with_logits(logits, {1.0f, 0.0f});
   EXPECT_LT(r.loss, 1e-6);
 }
 
 TEST(BceWithLogits, GradientSign) {
-  Tensor logits(2, 1, {0.0f, 0.0f});
+  Tensor logits = test::tensor(2, 1, {0.0f, 0.0f});
   auto r = bce_with_logits(logits, {1.0f, 0.0f});
   EXPECT_LT(r.d_logits.at(0, 0), 0.0f);  // push logit up for positives
   EXPECT_GT(r.d_logits.at(1, 0), 0.0f);  // push logit down for negatives
 }
 
 TEST(BceWithLogits, StableAtExtremeLogits) {
-  Tensor logits(2, 1, {500.0f, -500.0f});
+  Tensor logits = test::tensor(2, 1, {500.0f, -500.0f});
   auto r = bce_with_logits(logits, {0.0f, 1.0f});
   EXPECT_TRUE(std::isfinite(r.loss));
   EXPECT_NEAR(r.loss, 500.0, 1.0);  // ~|logit| for a confident wrong answer
 }
 
 TEST(BceWithLogits, GradientMatchesFiniteDifference) {
-  Tensor logits(3, 1, {0.3f, -1.2f, 2.0f});
+  Tensor logits = test::tensor(3, 1, {0.3f, -1.2f, 2.0f});
   std::vector<float> labels = {1.0f, 0.0f, 1.0f};
   auto r = bce_with_logits(logits, labels);
   const float eps = 1e-3f;
@@ -61,13 +62,13 @@ TEST(BceWithLogits, RejectsShapeMismatch) {
 }
 
 TEST(MultitaskBce, AveragesHeads) {
-  Tensor logits(1, 2, {0.0f, 0.0f});
+  Tensor logits = test::tensor(1, 2, {0.0f, 0.0f});
   auto r = multitask_bce(logits, {{1.0f}, {1.0f}});
   EXPECT_NEAR(r.loss, std::log(2.0), 1e-6);  // both heads at log 2, averaged
 }
 
 TEST(MultitaskBce, HeadWeights) {
-  Tensor logits(1, 2, {0.0f, 0.0f});
+  Tensor logits = test::tensor(1, 2, {0.0f, 0.0f});
   auto r = multitask_bce(logits, {{1.0f}, {1.0f}}, {1.0, 0.0});
   EXPECT_NEAR(r.loss, std::log(2.0), 1e-6);
   EXPECT_EQ(r.d_logits.at(0, 1), 0.0f);  // zero-weight head contributes nothing
@@ -76,13 +77,13 @@ TEST(MultitaskBce, HeadWeights) {
 // ------------------------------------------------------------------ Ranking
 
 TEST(PairwiseRanking, PerfectOrderLowLoss) {
-  Tensor logits(3, 1, {5.0f, 0.0f, -5.0f});
+  Tensor logits = test::tensor(3, 1, {5.0f, 0.0f, -5.0f});
   auto r = pairwise_ranking_loss(logits, {2.0f, 1.0f, 0.0f});
   EXPECT_LT(r.loss, 0.05);
 }
 
 TEST(PairwiseRanking, InvertedOrderHighLoss) {
-  Tensor logits(2, 1, {-5.0f, 5.0f});
+  Tensor logits = test::tensor(2, 1, {-5.0f, 5.0f});
   auto r = pairwise_ranking_loss(logits, {1.0f, 0.0f});
   EXPECT_GT(r.loss, 5.0);
   // The relevant item's score should be pushed up.
@@ -91,14 +92,14 @@ TEST(PairwiseRanking, InvertedOrderHighLoss) {
 }
 
 TEST(PairwiseRanking, NoOrderedPairsIsZero) {
-  Tensor logits(2, 1, {1.0f, 2.0f});
+  Tensor logits = test::tensor(2, 1, {1.0f, 2.0f});
   auto r = pairwise_ranking_loss(logits, {1.0f, 1.0f});
   EXPECT_EQ(r.loss, 0.0);
   EXPECT_EQ(r.d_logits.at(0, 0), 0.0f);
 }
 
 TEST(PairwiseRanking, GradientMatchesFiniteDifference) {
-  Tensor logits(3, 1, {0.5f, -0.2f, 0.1f});
+  Tensor logits = test::tensor(3, 1, {0.5f, -0.2f, 0.1f});
   std::vector<float> labels = {2.0f, 0.0f, 1.0f};
   auto r = pairwise_ranking_loss(logits, labels);
   const float eps = 1e-3f;
@@ -138,19 +139,6 @@ TEST(AveragePrecision, RandomScoresNearBaseRate) {
   EXPECT_NEAR(average_precision(scores, labels), 0.2, 0.05);
 }
 
-TEST(RocAuc, PerfectAndInverted) {
-  EXPECT_DOUBLE_EQ(roc_auc({0.9f, 0.1f}, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(roc_auc({0.1f, 0.9f}, {1, 0}), 0.0);
-}
-
-TEST(RocAuc, TiesGiveHalfCredit) {
-  EXPECT_DOUBLE_EQ(roc_auc({0.5f, 0.5f}, {1, 0}), 0.5);
-}
-
-TEST(RocAuc, DegenerateClassesReturnHalf) {
-  EXPECT_DOUBLE_EQ(roc_auc({0.3f, 0.7f}, {1, 1}), 0.5);
-}
-
 TEST(Ndcg, PerfectRankingIsOne) {
   EXPECT_DOUBLE_EQ(ndcg_at_k({3.0f, 2.0f, 1.0f}, {2, 1, 0}, 10), 1.0);
 }
@@ -170,18 +158,6 @@ TEST(Ndcg, CutoffRestrictsCredit) {
 
 TEST(Ndcg, AllZeroRelevanceIsOne) {
   EXPECT_DOUBLE_EQ(ndcg_at_k({0.5f, 0.2f}, {0, 0}, 5), 1.0);
-}
-
-TEST(LogLoss, KnownValue) {
-  EXPECT_NEAR(log_loss({0.5f}, {1.0f}), std::log(2.0), 1e-6);
-}
-
-TEST(LogLoss, ClipsExtremes) {
-  EXPECT_TRUE(std::isfinite(log_loss({0.0f, 1.0f}, {1.0f, 0.0f})));
-}
-
-TEST(Accuracy, Thresholding) {
-  EXPECT_DOUBLE_EQ(accuracy({0.9f, 0.1f, 0.6f, 0.4f}, {1, 0, 0, 1}), 0.5);
 }
 
 TEST(StableSigmoid, MatchesNaiveInSafeRange) {

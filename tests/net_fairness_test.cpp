@@ -17,13 +17,6 @@ namespace {
 
 // ------------------------------------------------------------- net
 
-TEST(FixedBandwidth, ReturnsConstant) {
-  net::FixedBandwidthModel model(12.5);
-  util::Rng rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.sample_mbps(rng), 12.5);
-  EXPECT_THROW(net::FixedBandwidthModel(0.0), util::CheckError);
-}
-
 TEST(PufferLikeBandwidth, SamplesWithinClampAndSpread) {
   net::PufferLikeBandwidthModel model;
   util::Rng rng(2);

@@ -61,7 +61,7 @@ class Harness {
     auto model = task_.make_model(model_rng);
     auto trace = test::always_available(40, 1e7);
     auto catalog = device::DeviceCatalog::standard();
-    net::FixedBandwidthModel bw(10.0);
+    test::FixedBandwidthModel bw(10.0);
     SyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     cfg.inputs.threads = threads;
@@ -78,7 +78,7 @@ class Harness {
     auto model = task_.make_model(model_rng);
     auto trace = test::always_available(40, 1e7);
     auto catalog = device::DeviceCatalog::standard();
-    net::FixedBandwidthModel bw(10.0);
+    test::FixedBandwidthModel bw(10.0);
     AsyncConfig cfg;
     test::wire_inputs(cfg.inputs, task_, *model, trace, catalog, bw);
     cfg.inputs.threads = threads;

@@ -17,9 +17,18 @@ double l2(const std::vector<float>& v) {
 
 // ------------------------------------------------------------------------ DP
 
+/// Clip-only mechanism (noise_multiplier 0) through the live apply_dp path.
+double clip(std::vector<float>& update, double clip_norm) {
+  util::Rng rng(9);
+  DpConfig cfg;
+  cfg.clip_norm = clip_norm;
+  cfg.noise_multiplier = 0.0;
+  return apply_dp(update, cfg, 1, rng);
+}
+
 TEST(Dp, ClipBoundsNorm) {
   std::vector<float> update = {3.0f, 4.0f};  // norm 5
-  double pre = clip_update(update, 1.0);
+  double pre = clip(update, 1.0);
   EXPECT_NEAR(pre, 5.0, 1e-6);
   EXPECT_NEAR(l2(update), 1.0, 1e-5);
   // Direction preserved.
@@ -28,7 +37,7 @@ TEST(Dp, ClipBoundsNorm) {
 
 TEST(Dp, ClipLeavesSmallUpdates) {
   std::vector<float> update = {0.1f, 0.1f};
-  clip_update(update, 10.0);
+  clip(update, 10.0);
   EXPECT_FLOAT_EQ(update[0], 0.1f);
 }
 
@@ -40,7 +49,7 @@ TEST_P(ClipPropertyTest, PostNormNeverExceedsBound) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<float> update(50);
     for (float& v : update) v = static_cast<float>(rng.normal(0.0, 5.0));
-    clip_update(update, bound);
+    clip(update, bound);
     EXPECT_LE(l2(update), bound * (1.0 + 1e-5));
   }
 }
@@ -48,9 +57,14 @@ TEST_P(ClipPropertyTest, PostNormNeverExceedsBound) {
 INSTANTIATE_TEST_SUITE_P(Bounds, ClipPropertyTest, ::testing::Values(0.1, 1.0, 10.0));
 
 TEST(Dp, GaussianNoiseHasRequestedStddev) {
+  // A zero update is never clipped, so apply_dp adds pure noise with
+  // sigma = noise_multiplier * clip_norm / participants = 0.5.
   util::Rng rng(2);
+  DpConfig cfg;
+  cfg.clip_norm = 2.0;
+  cfg.noise_multiplier = 0.5;
   std::vector<float> update(50000, 0.0f);
-  add_gaussian_noise(update, 0.5, rng);
+  apply_dp(update, cfg, 2, rng);
   util::RunningStats s;
   for (float v : update) s.add(v);
   EXPECT_NEAR(s.mean(), 0.0, 0.01);
@@ -58,10 +72,15 @@ TEST(Dp, GaussianNoiseHasRequestedStddev) {
 }
 
 TEST(Dp, ZeroStddevIsNoop) {
-  util::Rng rng(3);
+  // No noise: the update is untouched and the stream consumes no draws.
+  util::Rng rng(3), fresh(3);
+  DpConfig cfg;
+  cfg.clip_norm = 10.0;
+  cfg.noise_multiplier = 0.0;
   std::vector<float> update = {1.0f, 2.0f};
-  add_gaussian_noise(update, 0.0, rng);
+  apply_dp(update, cfg, 4, rng);
   EXPECT_EQ(update, (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
 }
 
 TEST(Dp, ApplyDpClipsThenNoises) {
@@ -124,87 +143,16 @@ TEST(DpAccountant, RejectsBadConfig) {
 
 // -------------------------------------------------------------------- SecAgg
 
-TEST(TeeAggregator, WeightedMeanAndReset) {
-  TeeConfig cfg;
-  TeeSecureAggregator tee(cfg, 2);
-  std::vector<float> a = {1.0f, 2.0f};
-  std::vector<float> b = {3.0f, 6.0f};
-  tee.accumulate(a, 1.0);
-  tee.accumulate(b, 3.0);
-  auto mean = tee.finalize();
-  EXPECT_NEAR(mean[0], (1.0 + 9.0) / 4.0, 1e-5);
-  EXPECT_NEAR(mean[1], (2.0 + 18.0) / 4.0, 1e-5);
-  EXPECT_EQ(tee.updates_received(), 2u);
-  // After finalize the accumulator is reset.
-  EXPECT_THROW(tee.finalize(), util::CheckError);
-}
-
-TEST(TeeAggregator, DimMismatchThrows) {
-  TeeSecureAggregator tee(TeeConfig{}, 3);
-  std::vector<float> wrong = {1.0f};
-  EXPECT_THROW(tee.accumulate(wrong), util::CheckError);
-}
-
-TEST(TeeAggregator, BandwidthAccounting) {
-  TeeConfig cfg;
-  cfg.bandwidth_mbps = 8.0;  // 1 MB/s
-  cfg.attestation_s = 0.25;
-  cfg.per_update_overhead_bytes = 0;
-  TeeSecureAggregator tee(cfg, 250000);  // 1 MB updates
-  std::vector<float> update(250000, 0.0f);
-  tee.accumulate(update);
-  EXPECT_EQ(tee.bytes_received(), 1000000u);
-  // 1 MB at 1 MB/s plus one attestation.
-  EXPECT_NEAR(tee.busy_seconds(), 1.0 + 0.25, 1e-6);
-}
-
 TEST(TeeAggregator, CapacityCheckMatchesPaperProjection) {
   // §3.5: 3.53 updates/s x 0.76MB updates ~= 2.68 MB/s, within a 24 Mbps TEE.
   TeeConfig cfg;
   cfg.bandwidth_mbps = 24.0;
   cfg.per_update_overhead_bytes = 0;
-  TeeSecureAggregator tee(cfg, 1);
+  TeeSecureAggregator tee(cfg);
   double mbps = tee.required_mbytes_per_s(3.53, 760000);
   EXPECT_NEAR(mbps, 2.68, 0.02);
   EXPECT_TRUE(tee.within_capacity(3.53, 760000));
   EXPECT_FALSE(tee.within_capacity(35.3, 760000));
-}
-
-TEST(MaskUpdates, SumPreservedIndividualObscured) {
-  util::Rng rng(5);
-  std::vector<std::vector<float>> updates(4, std::vector<float>(16));
-  for (auto& u : updates)
-    for (float& v : u) v = static_cast<float>(rng.normal());
-
-  auto masked = mask_updates(updates, /*session_seed=*/777);
-  ASSERT_EQ(masked.size(), 4u);
-
-  // Property 1: the sum over clients is unchanged (masks cancel pairwise).
-  for (std::size_t d = 0; d < 16; ++d) {
-    double raw_sum = 0.0, masked_sum = 0.0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      raw_sum += updates[i][d];
-      masked_sum += masked[i][d];
-    }
-    EXPECT_NEAR(masked_sum, raw_sum, 1e-3);
-  }
-  // Property 2: each individual masked update differs from its raw form.
-  for (std::size_t i = 0; i < 4; ++i) {
-    double diff = 0.0;
-    for (std::size_t d = 0; d < 16; ++d) diff += std::abs(masked[i][d] - updates[i][d]);
-    EXPECT_GT(diff, 0.5);
-  }
-}
-
-TEST(MaskUpdates, SingleClientUnchanged) {
-  std::vector<std::vector<float>> updates = {{1.0f, 2.0f}};
-  auto masked = mask_updates(updates, 1);
-  EXPECT_EQ(masked[0], updates[0]);  // no pairs, no masks
-}
-
-TEST(MaskUpdates, RaggedUpdatesThrow) {
-  std::vector<std::vector<float>> updates = {{1.0f}, {1.0f, 2.0f}};
-  EXPECT_THROW(mask_updates(updates, 1), util::CheckError);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "flint/fl/fedbuff.h"
-#include "flint/util/csv.h"
+#include "csv_reader.h"
 #include "test_helpers.h"
 
 namespace flint::core {
@@ -19,7 +19,7 @@ fl::RunResult sample_run() {
   util::Rng rng(1);
   static auto task = test::small_task(rng, 40);
   static auto catalog = device::DeviceCatalog::standard();
-  static net::FixedBandwidthModel bw(50.0);
+  static test::FixedBandwidthModel bw(50.0);
   static auto trace = test::always_available(40, 1e9);
   static auto model = task.make_model(rng);
   fl::AsyncConfig cfg;
@@ -80,7 +80,7 @@ TEST(Report, WriteProducesFilesAndParsableCsv) {
   std::string line;
   std::size_t rows = 0;
   while (std::getline(in, line)) {
-    auto cells = util::parse_csv_line(line);
+    auto cells = test::parse_csv_line(line);
     EXPECT_EQ(cells.size(), 6u);
     ++rows;
   }

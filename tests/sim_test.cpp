@@ -42,7 +42,7 @@ TEST(EventQueue, CallbacksCanScheduleMore) {
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 5) q.schedule_in(1.0, chain);
+    if (fired < 5) q.schedule(q.now() + 1.0, chain);
   };
   q.schedule(0.0, chain);
   q.run();
@@ -55,18 +55,6 @@ TEST(EventQueue, PastSchedulingThrows) {
   q.schedule(5.0, [] {});
   q.run();
   EXPECT_THROW(q.schedule(1.0, [] {}), util::CheckError);
-  EXPECT_THROW(q.schedule_in(-1.0, [] {}), util::CheckError);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockExactly) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(10.0, [&] { ++fired; });
-  q.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 5.0);
-  EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, RunWithBudgetStops) {
@@ -116,7 +104,7 @@ TEST(ArrivalScheduler, SkipsExpiredWindows) {
   ArrivalScheduler sched(trace);
   auto a = sched.next(160.0);  // windows of 10 and 11 have closed
   EXPECT_EQ(a->client_id, 12u);
-  EXPECT_EQ(sched.remaining_windows(), 0u);
+  EXPECT_EQ(sched.cursor(), trace.windows().size());
 }
 
 TEST(ArrivalScheduler, RequeueReoffersWithinWindow) {
@@ -159,32 +147,13 @@ TEST(ExecutorPool, DefaultHashAssignment) {
   EXPECT_EQ(pool.executor_of(8), 0u);
 }
 
-TEST(ExecutorPool, ExplicitPartitioning) {
-  ExecutorPool pool(2);
-  data::ExecutorPartitioning parts;
-  parts.partitions = {{5, 7}, {6}};
-  pool.set_partitioning(parts);
-  EXPECT_EQ(pool.executor_of(5), 0u);
-  EXPECT_EQ(pool.executor_of(6), 1u);
-  EXPECT_EQ(pool.executor_of(7), 0u);
-}
-
-TEST(ExecutorPool, PartitionCountMismatchThrows) {
-  ExecutorPool pool(2);
-  data::ExecutorPartitioning parts;
-  parts.partitions = {{1}};
-  EXPECT_THROW(pool.set_partitioning(parts), util::CheckError);
-}
-
 TEST(ExecutorPool, HealthWindows) {
   ExecutorPool pool(3);
   pool.add_outage({1, 100.0, 200.0});
-  EXPECT_TRUE(pool.healthy_at(1, 50.0));
-  EXPECT_FALSE(pool.healthy_at(1, 150.0));
-  EXPECT_TRUE(pool.healthy_at(1, 200.0));
-  EXPECT_TRUE(pool.healthy_at(0, 150.0));
-  EXPECT_FALSE(pool.all_healthy_at(150.0));
-  EXPECT_TRUE(pool.all_healthy_at(250.0));
+  EXPECT_DOUBLE_EQ(pool.next_all_healthy(50.0), 50.0);
+  EXPECT_DOUBLE_EQ(pool.next_all_healthy(100.0), 200.0);  // outage start is inclusive
+  EXPECT_DOUBLE_EQ(pool.next_all_healthy(150.0), 200.0);
+  EXPECT_DOUBLE_EQ(pool.next_all_healthy(200.0), 200.0);  // outage end is exclusive
 }
 
 TEST(ExecutorPool, NextAllHealthySkipsOverlappingOutages) {
@@ -196,12 +165,15 @@ TEST(ExecutorPool, NextAllHealthySkipsOverlappingOutages) {
 }
 
 TEST(ExecutorPool, TaskAccounting) {
+  // Per-executor task counts surface as sim.executor.<i>.tasks counters.
+  obs::Telemetry telemetry(obs::TelemetryConfig{});
+  obs::ScopedTelemetry scope(&telemetry);
   ExecutorPool pool(2);
   pool.record_task(0);
   pool.record_task(0);
   pool.record_task(1);
-  EXPECT_EQ(pool.tasks_run(0), 2u);
-  EXPECT_EQ(pool.total_tasks_run(), 3u);
+  EXPECT_EQ(telemetry.metrics().counter("sim.executor.0.tasks").value(), 2u);
+  EXPECT_EQ(telemetry.metrics().counter("sim.executor.1.tasks").value(), 1u);
 }
 
 // ------------------------------------------------------------ FaultInjector
@@ -244,7 +216,6 @@ TEST(SimMetrics, OutcomeAccounting) {
   EXPECT_EQ(m.tasks_interrupted(), 1u);
   EXPECT_DOUBLE_EQ(m.client_compute_s(), 30.0);
   EXPECT_NEAR(m.waste_fraction(), 2.0 / 3.0, 1e-9);
-  EXPECT_NE(m.summary().find("started=3"), std::string::npos);
 }
 
 TEST(SimMetrics, RoundDurationsAndThroughput) {
@@ -337,7 +308,6 @@ TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
   ArrivalScheduler b(trace);
   b.restore(a.cursor(), a.requeued_snapshot());
   EXPECT_EQ(b.cursor(), a.cursor());
-  EXPECT_EQ(b.remaining_windows(), a.remaining_windows());
   // Both schedulers must serve identical streams from here.
   for (int i = 0; i < 8; ++i) {
     auto na = a.next(20.0);

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "flint/store/checkpoint.h"
-#include "flint/store/model_store.h"
 #include "flint/util/check.h"
 #include "flint/util/crc32.h"
 
@@ -29,78 +28,6 @@ class TempDir {
  private:
   fs::path path_;
 };
-
-// --------------------------------------------------------------- ModelStore
-
-TEST(ModelStore, VersionsMonotonicPerName) {
-  ModelStore store;
-  EXPECT_EQ(store.put("ads", {1.0f}), 1);
-  EXPECT_EQ(store.put("ads", {2.0f}), 2);
-  EXPECT_EQ(store.put("search", {3.0f}), 1);
-  EXPECT_EQ(store.version_count("ads"), 2u);
-  EXPECT_EQ(store.latest("ads")->parameters[0], 2.0f);
-  EXPECT_EQ(store.get("ads", 1)->parameters[0], 1.0f);
-  EXPECT_FALSE(store.get("ads", 3).has_value());
-  EXPECT_FALSE(store.get("ads", 0).has_value());
-  EXPECT_FALSE(store.latest("none").has_value());
-}
-
-TEST(ModelStore, TagsAndTimes) {
-  ModelStore store;
-  store.put("m", {1.0f, 2.0f}, "round-5", 123.0);
-  auto v = store.latest("m");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->tag, "round-5");
-  EXPECT_DOUBLE_EQ(v->created_at_virtual_s, 123.0);
-}
-
-TEST(ModelStore, TotalBytes) {
-  ModelStore store;
-  store.put("a", std::vector<float>(10, 0.0f));
-  store.put("a", std::vector<float>(5, 0.0f));
-  EXPECT_EQ(store.total_bytes(), 15u * sizeof(float));
-}
-
-TEST(ModelStore, SerializeRoundTrip) {
-  ModelVersion v;
-  v.version = 3;
-  v.parameters = {1.5f, -2.25f, 0.0f};
-  v.tag = "hello, tag";
-  v.created_at_virtual_s = 42.5;
-  auto blob = serialize_model_version(v);
-  ModelVersion back = deserialize_model_version(blob);
-  EXPECT_EQ(back.version, 3);
-  EXPECT_EQ(back.parameters, v.parameters);
-  EXPECT_EQ(back.tag, v.tag);
-  EXPECT_DOUBLE_EQ(back.created_at_virtual_s, 42.5);
-}
-
-TEST(ModelStore, DeserializeRejectsGarbage) {
-  std::vector<char> garbage = {'X', 'X', 'X', 'X', 0};
-  EXPECT_THROW(deserialize_model_version(garbage), util::CheckError);
-  EXPECT_THROW(deserialize_model_version({}), util::CheckError);
-}
-
-TEST(ModelStore, SaveLoadDirectory) {
-  TempDir dir("modelstore");
-  ModelStore store;
-  store.put("ads", {1.0f, 2.0f}, "v1");
-  store.put("ads", {3.0f}, "v2");
-  store.put("msg", {4.0f}, "only");
-  store.save_to_dir(dir.str());
-
-  ModelStore loaded = ModelStore::load_from_dir(dir.str());
-  EXPECT_EQ(loaded.version_count("ads"), 2u);
-  EXPECT_EQ(loaded.get("ads", 1)->parameters, (std::vector<float>{1.0f, 2.0f}));
-  EXPECT_EQ(loaded.latest("ads")->tag, "v2");
-  EXPECT_EQ(loaded.latest("msg")->parameters[0], 4.0f);
-}
-
-TEST(ModelStore, SaveToMissingDirThrows) {
-  ModelStore store;
-  store.put("a", {1.0f});
-  EXPECT_THROW(store.save_to_dir("/nonexistent/dir/xyz"), util::CheckError);
-}
 
 // -------------------------------------------------------------- Checkpoints
 
@@ -360,15 +287,6 @@ TEST(CheckpointStore, ResumesNumberingAcrossInstances) {
   CheckpointStore reopened(dir.str());
   EXPECT_EQ(reopened.write(sample_checkpoint(3.0, 3)), 3);
   EXPECT_EQ(reopened.latest()->round, 3u);
-}
-
-TEST(CheckpointStore, PruneKeepsMostRecent) {
-  TempDir dir("ckpt_prune");
-  CheckpointStore store(dir.str());
-  for (std::uint64_t r = 1; r <= 5; ++r) store.write(sample_checkpoint(r * 1.0, r));
-  store.prune(2);
-  EXPECT_EQ(store.checkpoint_count(), 2u);
-  EXPECT_EQ(store.latest()->round, 5u);
 }
 
 TEST(CheckpointStore, NoTmpFilesLeftBehind) {

@@ -2,6 +2,7 @@
 // configs that finish in milliseconds.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "flint/data/synthetic_tasks.h"
@@ -10,6 +11,34 @@
 #include "flint/net/bandwidth_model.h"
 
 namespace flint::test {
+
+/// Deterministic bandwidth: every client gets the same link.
+class FixedBandwidthModel : public net::BandwidthModel {
+ public:
+  explicit FixedBandwidthModel(double mbps) : mbps_(mbps) {}
+  double sample_mbps(util::Rng&) const override { return mbps_; }
+
+ private:
+  double mbps_;
+};
+
+/// A [rows, cols] tensor holding `values` in row-major order.
+inline ml::Tensor tensor(std::size_t rows, std::size_t cols, const std::vector<float>& values) {
+  ml::Tensor t(rows, cols);
+  FLINT_CHECK_EQ(values.size(), t.size());
+  std::copy(values.begin(), values.end(), t.flat().begin());
+  return t;
+}
+
+/// Concatenation of all parameter gradients, in parameters() order.
+inline std::vector<float> flat_gradients(ml::Model& model) {
+  std::vector<float> out;
+  for (ml::Parameter* p : model.parameters()) {
+    auto g = p->grad.flat();
+    out.insert(out.end(), g.begin(), g.end());
+  }
+  return out;
+}
 
 /// A tiny ads-like task (fast to train, converges visibly).
 inline data::FederatedTask small_task(util::Rng& rng, std::size_t clients = 60,

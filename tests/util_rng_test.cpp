@@ -128,7 +128,7 @@ TEST(Rng, PoissonLargeMeanMatchesMoments) {
     RunningStats s;
     for (int i = 0; i < 30000; ++i) s.add(static_cast<double>(rng.poisson(lambda)));
     EXPECT_NEAR(s.mean(), lambda, 0.02 * lambda) << "lambda " << lambda;
-    EXPECT_NEAR(s.variance(), lambda, 0.10 * lambda) << "lambda " << lambda;
+    EXPECT_NEAR(s.sample_variance(), lambda, 0.10 * lambda) << "lambda " << lambda;
   }
 }
 
@@ -146,9 +146,10 @@ TEST(Rng, PoissonIsDeterministicGivenSeedInBothRegimes) {
 
 TEST(Rng, ZipfInRangeAndSkewed) {
   Rng rng(31);
+  ZipfTable zipf(10, 1.2);
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 20000; ++i) {
-    std::size_t v = rng.zipf(10, 1.2);
+    std::size_t v = zipf.sample(rng);
     ASSERT_LT(v, 10u);
     ++counts[v];
   }
@@ -158,8 +159,9 @@ TEST(Rng, ZipfInRangeAndSkewed) {
 
 TEST(Rng, ZipfZeroExponentIsUniform) {
   Rng rng(31);
+  ZipfTable uniform(4, 0.0);
   std::vector<int> counts(4, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[rng.zipf(4, 0.0)];
+  for (int i = 0; i < 40000; ++i) ++counts[uniform.sample(rng)];
   for (int c : counts) EXPECT_NEAR(c, 10000, 600);
 }
 
@@ -187,6 +189,22 @@ TEST(Rng, DirichletSmallAlphaIsSkewed) {
   }
   EXPECT_GT(max_small / 200.0, 0.7);   // near one-hot
   EXPECT_LT(max_large / 200.0, 0.25);  // near uniform
+}
+
+// partition_dirichlet draws its label and quantity shares from
+// Rng::dirichlet, which draws each component from Rng::gamma(alpha, 1.0).
+// Pinning two consecutive draws bit for bit means a sampler rewrite or a
+// "dead" gamma removal cannot silently change any Dirichlet partition.
+TEST(Rng, DirichletMatchesGoldenDraws) {
+  Rng rng(2024);
+  const std::vector<double> first = rng.dirichlet(5, 0.5);
+  const std::vector<double> second = rng.dirichlet(5, 0.5);
+  EXPECT_EQ(first, (std::vector<double>{0.27367538567362909, 0.28609645939715045,
+                                        0.0060739700192009791, 0.33413515902258251,
+                                        0.10001902588743707}));
+  EXPECT_EQ(second, (std::vector<double>{0.78769699881843969, 0.013220690053210873,
+                                         0.044293811426372016, 0.11310351538504164,
+                                         0.041684984316935729}));
 }
 
 TEST(Rng, CategoricalRespectsWeights) {
@@ -346,24 +364,6 @@ TEST(RngEngine, RestoresStdStateWrittenMidBlock) {
   for (int i = 0; i < 700; ++i) ASSERT_EQ(rng.next_u64(), ref()) << "draw " << i;
 }
 
-TEST(RngEngine, CopyMidLazyStateContinuesIdentically) {
-  for (int draws : {0, 3, 155}) {
-    Rng a(77);
-    for (int i = 0; i < draws; ++i) a.next_u64();
-    Rng b = a;
-    Rng c(5);
-    c = a;
-    std::mt19937_64 ref(77);
-    for (int i = 0; i < draws; ++i) ref();
-    for (int i = 0; i < 400; ++i) {
-      std::uint64_t want = ref();
-      ASSERT_EQ(a.next_u64(), want) << "draws " << draws << " +" << i;
-      ASSERT_EQ(b.next_u64(), want) << "draws " << draws << " +" << i;
-      ASSERT_EQ(c.next_u64(), want) << "draws " << draws << " +" << i;
-    }
-  }
-}
-
 TEST(RngEngine, SizeStaysNearStd) {
   EXPECT_LE(sizeof(Rng), sizeof(std::mt19937_64) + 32);
 }
@@ -390,13 +390,10 @@ TEST(ZipfTable, MatchesLinearScanDrawForDraw) {
   for (std::size_t n : {1, 2, 10, 500}) {
     for (double s : {0.0, 1e-13, 0.5, 1.1, 3.0}) {
       ZipfTable table(n, s);
-      Rng a(101), b(101), c(101);
+      Rng a(101), b(101);
       for (int i = 0; i < 10000; ++i) {
         std::size_t want = zipf_linear_scan(a, n, s);
         ASSERT_EQ(table.sample(b), want) << "n " << n << " s " << s << " draw " << i;
-        if (i < 200) {
-          ASSERT_EQ(c.zipf(n, s), want) << "n " << n << " s " << s << " draw " << i;
-        }
       }
     }
   }

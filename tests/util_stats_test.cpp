@@ -23,7 +23,7 @@ TEST(RunningStats, KnownValues) {
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // population variance of this classic set
+  EXPECT_DOUBLE_EQ(s.sample_variance(), 32.0 / 7.0);  // Bessel-corrected, this classic set
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
@@ -33,35 +33,8 @@ TEST(RunningStats, SingleValue) {
   RunningStats s;
   s.add(3.5);
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.sample_variance(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(5);
-  RunningStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.normal(3.0, 7.0);
-    whole.add(v);
-    (i < 400 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // adopt
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
 TEST(Percentile, InterpolatesLinearly) {

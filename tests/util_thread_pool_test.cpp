@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -23,7 +24,6 @@ TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults) {
 
 TEST(ThreadPool, WorkerIndexIsNposOffPoolAndValidOnPool) {
   EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
-  EXPECT_EQ(ThreadPool::current_pool(), nullptr);
   ThreadPool pool(3);
   std::vector<std::future<std::size_t>> futures;
   for (int i = 0; i < 32; ++i)
@@ -32,8 +32,6 @@ TEST(ThreadPool, WorkerIndexIsNposOffPoolAndValidOnPool) {
     std::size_t index = f.get();
     EXPECT_LT(index, 3u);
   }
-  auto on_pool = pool.submit([&pool] { return ThreadPool::current_pool() == &pool; });
-  EXPECT_TRUE(on_pool.get());
   // The submitting thread is still off-pool.
   EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
 }
@@ -60,15 +58,24 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 }
 
 TEST(ThreadPool, BusySecondsAccumulate) {
-  ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }));
-  for (auto& f : futures) f.get();
-  double total = pool.busy_seconds(0) + pool.busy_seconds(1);
-  EXPECT_GT(total, 0.0);
+  // Each worker reports its running total; the last report per worker must
+  // cover every sleep that worker ran.
+  std::array<std::atomic<double>, 2> last{0.0, 0.0};
+  ThreadPoolObserver observer;
+  observer.on_worker_busy = [&last](std::size_t worker, double busy_s) {
+    EXPECT_GE(busy_s, last[worker].load());
+    last[worker].store(busy_s);
+  };
+  {
+    ThreadPool pool(2, std::move(observer));
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 8; ++i)
+      futures.push_back(pool.submit([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }));
+    for (auto& f : futures) f.get();
+  }
+  EXPECT_GE(last[0].load() + last[1].load(), 8 * 0.002);
 }
 
 TEST(ThreadPool, ObserverCallbacksFire) {

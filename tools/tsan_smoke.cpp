@@ -56,8 +56,7 @@ int hammer_registry() {
 }
 
 // Pool hammer: concurrent submitters racing the workers, observer callbacks
-// mutating shared counters, queue-depth/busy-seconds reads racing task
-// execution, and a draining destructor with tasks still queued. Any missing
+// mutating shared counters, and a draining destructor with tasks still queued. Any missing
 // lock in enqueue/worker_loop or non-atomic busy accounting trips TSan here.
 int hammer_thread_pool() {
   constexpr int kSubmitters = 4;
@@ -85,10 +84,6 @@ int hammer_thread_pool() {
             (void)flint::util::ThreadPool::worker_index();
             return t + i;
           }));
-          if (i % 64 == 0) {
-            (void)pool.queue_depth();
-            (void)pool.busy_seconds(static_cast<std::size_t>(i) % 3);
-          }
         }
         for (auto& f : futures) sum.fetch_add(static_cast<std::uint64_t>(f.get()));
       });
