@@ -19,6 +19,10 @@ void LeaseTrainService::configure(const rpc::RegisterAckMsg& ack) {
                                             static_cast<std::size_t>(ack.dense_dim));
 }
 
+// The lease decoder range-checks loss_kind against the last data::LossKind.
+static_assert(static_cast<std::uint32_t>(data::LossKind::kPairwiseRanking) ==
+              rpc::TaskLeaseMsg::kMaxLossKind);
+
 rpc::TaskResultMsg LeaseTrainService::run_lease(const rpc::TaskLeaseMsg& lease) {
   rpc::TaskResultMsg result;
   try {

@@ -18,7 +18,10 @@ namespace flint::ml {
 /// Supports FeedForwardModel and ConvTextModel (the zoo's two families).
 std::vector<char> serialize_model(Model& model);
 
-/// Reconstruct a model from serialize_model() bytes.
+/// Reconstruct a model from serialize_model() bytes. Throws CheckError
+/// before building anything unless the config's enums are in range, the
+/// parameter count it implies equals the stored count, and the weights end
+/// the blob.
 std::unique_ptr<Model> deserialize_model(const std::vector<char>& bytes);
 
 }  // namespace flint::ml

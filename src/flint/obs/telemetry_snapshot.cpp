@@ -7,116 +7,52 @@ namespace flint::obs {
 
 namespace {
 
-// Sanity ceilings applied before any sized allocation during deserialize
-// (the rpc/messages.cpp convention): a corrupt count that slipped past the
-// frame CRC must not drive an OOM.
-constexpr std::uint64_t kMaxSeries = 4096;
-constexpr std::uint64_t kMaxNameBytes = 256;
-constexpr std::uint64_t kMaxBuckets = 4096;
+// Ceilings checked before any sized allocation during deserialize (the
+// rpc/messages.cpp convention): a corrupt count that slipped past the frame
+// CRC must not drive an OOM. Every count and name length is a u32.
+constexpr util::Count<std::uint32_t> kSeries{4096};
+constexpr util::Count<std::uint32_t> kNameBytes{256};
+constexpr util::Count<std::uint32_t> kBuckets{4096};
+// Each record's empty name length plus its fixed fields.
+constexpr std::size_t kCounterMinBytes = 4 + 8;
+constexpr std::size_t kGaugeMinBytes = 4 + 8;
+constexpr std::size_t kHistogramMinBytes = 4 + 4 * 8 + 4;
 
-void append_name(std::vector<char>& out, const std::string& s) {
-  FLINT_CHECK_LE(s.size(), static_cast<std::size_t>(kMaxNameBytes));
-  util::append_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string read_name(const std::vector<char>& in, std::size_t& offset) {
-  auto size = util::read_pod<std::uint32_t>(in, offset);
-  FLINT_CHECK_LE(static_cast<std::uint64_t>(size), kMaxNameBytes);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_LE(static_cast<std::size_t>(size), in.size() - offset);
-  std::string s(in.data() + offset, size);
-  offset += size;
-  return s;
-}
-
-std::uint32_t read_section_count(const char* what, const std::vector<char>& in,
-                                 std::size_t& offset) {
-  auto count = util::read_pod<std::uint32_t>(in, offset);
-  FLINT_CHECK_MSG(count <= kMaxSeries,
-                  "TelemetrySnapshot " << what << " count " << count << " exceeds ceiling "
-                                       << kMaxSeries);
-  return count;
+template <typename IO, util::RecordOf<TelemetrySnapshot> S>
+void walk(IO& io, S& snap) {
+  io.version(S::kSchemaVersion, "TelemetrySnapshot schema");
+  io.field(snap.seq);
+  io.records(snap.counters, kSeries, kCounterMinBytes, [](auto& io, auto& c) {
+    io.string(c.name, kNameBytes);
+    io.field(c.delta);
+  });
+  io.records(snap.gauges, kSeries, kGaugeMinBytes, [](auto& io, auto& g) {
+    io.string(g.name, kNameBytes);
+    io.field(g.value);
+  });
+  io.records(snap.histograms, kSeries, kHistogramMinBytes, [](auto& io, auto& h) {
+    io.string(h.name, kNameBytes);
+    io.field(h.lo);
+    io.field(h.hi);
+    io.field(h.count_delta);
+    io.field(h.sum_delta);
+    io.vector(h.bucket_deltas, kBuckets);
+  });
 }
 
 }  // namespace
 
 std::vector<char> TelemetrySnapshot::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  util::append_pod(out, seq);
-  FLINT_CHECK_LE(counters.size(), static_cast<std::size_t>(kMaxSeries));
-  util::append_pod(out, static_cast<std::uint32_t>(counters.size()));
-  for (const CounterDelta& c : counters) {
-    append_name(out, c.name);
-    util::append_pod(out, c.delta);
-  }
-  FLINT_CHECK_LE(gauges.size(), static_cast<std::size_t>(kMaxSeries));
-  util::append_pod(out, static_cast<std::uint32_t>(gauges.size()));
-  for (const GaugeValue& g : gauges) {
-    append_name(out, g.name);
-    util::append_pod(out, g.value);
-  }
-  FLINT_CHECK_LE(histograms.size(), static_cast<std::size_t>(kMaxSeries));
-  util::append_pod(out, static_cast<std::uint32_t>(histograms.size()));
-  for (const HistogramDelta& h : histograms) {
-    append_name(out, h.name);
-    util::append_pod(out, h.lo);
-    util::append_pod(out, h.hi);
-    util::append_pod(out, h.count_delta);
-    util::append_pod(out, h.sum_delta);
-    FLINT_CHECK_LE(h.bucket_deltas.size(), static_cast<std::size_t>(kMaxBuckets));
-    util::append_pod(out, static_cast<std::uint32_t>(h.bucket_deltas.size()));
-    util::append_pod_array(out, h.bucket_deltas.data(), h.bucket_deltas.size());
-  }
-  return out;
+  util::ByteWriter out;
+  walk(out, *this);
+  return out.take();
 }
 
 TelemetrySnapshot TelemetrySnapshot::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  auto version = util::read_pod<std::uint16_t>(bytes, offset);
-  FLINT_CHECK_MSG(version == kSchemaVersion,
-                  "TelemetrySnapshot schema version " << version
-                                                      << " does not match this build's "
-                                                      << kSchemaVersion);
+  util::ByteReader in(bytes);
   TelemetrySnapshot snap;
-  snap.seq = util::read_pod<std::uint64_t>(bytes, offset);
-  std::uint32_t n_counters = read_section_count("counter", bytes, offset);
-  snap.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    CounterDelta c;
-    c.name = read_name(bytes, offset);
-    c.delta = util::read_pod<std::uint64_t>(bytes, offset);
-    snap.counters.push_back(std::move(c));
-  }
-  std::uint32_t n_gauges = read_section_count("gauge", bytes, offset);
-  snap.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    GaugeValue g;
-    g.name = read_name(bytes, offset);
-    g.value = util::read_pod<double>(bytes, offset);
-    snap.gauges.push_back(std::move(g));
-  }
-  std::uint32_t n_histograms = read_section_count("histogram", bytes, offset);
-  snap.histograms.reserve(n_histograms);
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    HistogramDelta h;
-    h.name = read_name(bytes, offset);
-    h.lo = util::read_pod<double>(bytes, offset);
-    h.hi = util::read_pod<double>(bytes, offset);
-    h.count_delta = util::read_pod<std::uint64_t>(bytes, offset);
-    h.sum_delta = util::read_pod<double>(bytes, offset);
-    auto n_buckets = util::read_pod<std::uint32_t>(bytes, offset);
-    FLINT_CHECK_MSG(n_buckets <= kMaxBuckets,
-                    "TelemetrySnapshot histogram bucket count "
-                        << n_buckets << " exceeds ceiling " << kMaxBuckets);
-    h.bucket_deltas.resize(n_buckets);
-    util::read_pod_array(bytes, offset, h.bucket_deltas.data(), h.bucket_deltas.size());
-    snap.histograms.push_back(std::move(h));
-  }
-  FLINT_CHECK_MSG(offset == bytes.size(), "TelemetrySnapshot payload has "
-                                              << bytes.size() - offset
-                                              << " trailing byte(s)");
+  walk(in, snap);
+  in.finish("TelemetrySnapshot payload");
   return snap;
 }
 

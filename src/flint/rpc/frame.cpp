@@ -8,6 +8,22 @@ namespace flint::rpc {
 
 namespace {
 
+/// The fixed-size frame header, in wire order.
+struct FrameHeader {
+  std::uint32_t magic = 0;
+  std::uint16_t protocol = 0;
+  std::uint16_t type = 0;
+  std::uint32_t payload_len = 0;
+};
+
+template <typename IO, util::RecordOf<FrameHeader> H>
+void walk(IO& io, H& h) {
+  io.field(h.magic);
+  io.field(h.protocol);
+  io.field(h.type);
+  io.field(h.payload_len);
+}
+
 bool known_type(std::uint16_t raw) {
   return raw >= static_cast<std::uint16_t>(MessageType::kRegisterExecutor) &&
          raw <= static_cast<std::uint16_t>(MessageType::kShutdown);
@@ -29,18 +45,16 @@ const char* message_type_name(MessageType type) {
 
 std::vector<char> encode_frame(const Frame& frame) {
   FLINT_CHECK_LE(frame.payload.size(), static_cast<std::size_t>(kMaxFramePayload));
-  std::vector<char> out;
+  util::ByteWriter out;
   out.reserve(kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes);
-  util::append_pod(out, kFrameMagic);
-  util::append_pod(out, kProtocolVersion);
-  util::append_pod(out, static_cast<std::uint16_t>(frame.type));
-  util::append_pod(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  const FrameHeader header{kFrameMagic, kProtocolVersion,
+                           static_cast<std::uint16_t>(frame.type),
+                           static_cast<std::uint32_t>(frame.payload.size())};
+  walk(out, header);
+  out.raw(frame.payload.data(), frame.payload.size());
   // CRC over everything after the magic: protocol, type, length, payload.
-  std::uint32_t crc = util::crc32(out.data() + sizeof(std::uint32_t),
-                                  out.size() - sizeof(std::uint32_t));
-  util::append_pod(out, crc);
-  return out;
+  out.field(util::crc32(out.data() + sizeof(std::uint32_t), out.size() - sizeof(std::uint32_t)));
+  return out.take();
 }
 
 void FrameDecoder::feed(const char* data, std::size_t size) {
@@ -51,41 +65,39 @@ std::optional<Frame> FrameDecoder::next() {
   std::size_t available = buffer_.size() - consumed_;
   if (available < kFrameHeaderBytes) return std::nullopt;
 
-  // Header first: validate magic / protocol / type / length before waiting
-  // for (or trusting) any payload byte.
-  std::size_t offset = consumed_;
-  auto magic = util::read_pod<std::uint32_t>(buffer_, offset);
-  FLINT_CHECK_MSG(magic == kFrameMagic, "bad frame magic 0x" << std::hex << magic << std::dec
-                                                             << " (not an FLRP stream)");
-  auto protocol = util::read_pod<std::uint16_t>(buffer_, offset);
-  FLINT_CHECK_MSG(protocol == kProtocolVersion,
-                  "unsupported rpc protocol version " << protocol << " (this build speaks "
+  // Header first, read in place: validate magic / protocol / type / length
+  // before waiting for (or trusting) any payload byte.
+  util::ByteReader in(buffer_.data() + consumed_, available);
+  FrameHeader header;
+  walk(in, header);
+  FLINT_CHECK_MSG(header.magic == kFrameMagic, "bad frame magic 0x"
+                                                   << std::hex << header.magic << std::dec
+                                                   << " (not an FLRP stream)");
+  FLINT_CHECK_MSG(header.protocol == kProtocolVersion,
+                  "unsupported rpc protocol version " << header.protocol
+                                                      << " (this build speaks "
                                                       << kProtocolVersion << ")");
-  auto raw_type = util::read_pod<std::uint16_t>(buffer_, offset);
-  FLINT_CHECK_MSG(known_type(raw_type), "unknown rpc message type " << raw_type);
-  auto payload_len = util::read_pod<std::uint32_t>(buffer_, offset);
-  FLINT_CHECK_MSG(payload_len <= kMaxFramePayload,
-                  "frame payload length " << payload_len << " exceeds the "
+  FLINT_CHECK_MSG(known_type(header.type), "unknown rpc message type " << header.type);
+  FLINT_CHECK_MSG(header.payload_len <= kMaxFramePayload,
+                  "frame payload length " << header.payload_len << " exceeds the "
                                           << kMaxFramePayload << "-byte ceiling");
 
-  std::size_t total = kFrameHeaderBytes + static_cast<std::size_t>(payload_len) +
-                      kFrameTrailerBytes;
-  if (available < total) return std::nullopt;
-
-  std::size_t crc_offset = consumed_ + kFrameHeaderBytes + payload_len;
-  std::uint32_t stored_crc = util::read_pod<std::uint32_t>(buffer_, crc_offset);
+  if (in.remaining() < static_cast<std::size_t>(header.payload_len) + kFrameTrailerBytes)
+    return std::nullopt;
+  const char* payload = in.raw(header.payload_len);
+  const auto stored_crc = in.read<std::uint32_t>();
   std::uint32_t computed = util::crc32(buffer_.data() + consumed_ + sizeof(std::uint32_t),
-                                       kFrameHeaderBytes - sizeof(std::uint32_t) + payload_len);
+                                       kFrameHeaderBytes - sizeof(std::uint32_t) +
+                                           header.payload_len);
   FLINT_CHECK_MSG(stored_crc == computed, "frame CRC mismatch (stored 0x"
                                               << std::hex << stored_crc << ", computed 0x"
                                               << computed << std::dec
                                               << "): corrupt or torn frame");
 
   Frame frame;
-  frame.type = static_cast<MessageType>(raw_type);
-  frame.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
-                       buffer_.begin() + static_cast<std::ptrdiff_t>(offset + payload_len));
-  consumed_ += total;
+  frame.type = static_cast<MessageType>(header.type);
+  frame.payload.assign(payload, payload + header.payload_len);
+  consumed_ += kFrameHeaderBytes + header.payload_len + kFrameTrailerBytes;
   compact();
   return frame;
 }

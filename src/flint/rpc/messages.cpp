@@ -10,222 +10,162 @@ namespace flint::rpc {
 
 namespace {
 
-// Sanity ceilings applied before any sized allocation during deserialize, so
-// a corrupt count that slipped past the frame CRC still cannot drive an OOM.
-constexpr std::uint64_t kMaxStringBytes = 1u << 16;
-constexpr std::uint64_t kMaxVectorElems = 1u << 26;   // 64M floats = 256 MB
-constexpr std::uint64_t kMaxExamples = 1u << 22;      // 4M examples per lease
+// Ceilings checked before any sized allocation during deserialize, so a
+// corrupt count that slipped past the frame CRC still cannot drive an OOM.
+// Strings carry a u32 length, vectors and byte blobs a u64 count.
+constexpr util::Count<std::uint32_t> kStringBytes{1u << 16};
+constexpr util::Count<std::uint64_t> kVectorElems{1u << 26};  // 64M floats = 256 MB
+constexpr util::Count<std::uint64_t> kBlobBytes{};
+constexpr util::Count<std::uint64_t> kExamples{1u << 22};  // 4M examples per lease
+constexpr util::EnumCode<std::uint32_t, std::uint32_t> kLossKind{TaskLeaseMsg::kMaxLossKind};
+constexpr util::EnumCode<std::uint32_t, std::uint32_t> kCompressionKind{
+    static_cast<std::uint32_t>(compress::CompressionKind::kTopK)};
+// Two empty vector counts, label, label2, group.
+constexpr std::size_t kExampleMinBytes = 8 + 8 + 4 + 4 + 4;
 
-void append_string(std::vector<char>& out, const std::string& s) {
-  FLINT_CHECK_LE(s.size(), static_cast<std::size_t>(kMaxStringBytes));
-  util::append_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+template <typename IO, util::RecordOf<RegisterExecutorMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "RegisterExecutor schema");
+  io.string(m.name, kStringBytes);
+  io.field(m.slots);
 }
 
-std::string read_string(const std::vector<char>& in, std::size_t& offset) {
-  auto size = util::read_pod<std::uint32_t>(in, offset);
-  FLINT_CHECK_LE(static_cast<std::uint64_t>(size), kMaxStringBytes);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_LE(static_cast<std::size_t>(size), in.size() - offset);
-  std::string s(in.data() + offset, size);
-  offset += size;
-  return s;
+template <typename IO, util::RecordOf<RegisterAckMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "RegisterAck schema");
+  io.field(m.executor_id);
+  io.field(m.heartbeat_interval_s);
+  io.field(m.heartbeat_timeout_s);
+  io.field(m.dense_dim);
+  io.field(m.leader_wall_us);
+  io.vector(m.model_blob, kBlobBytes);
 }
 
-template <typename T>
-void append_vector(std::vector<char>& out, const std::vector<T>& v) {
-  util::append_pod(out, static_cast<std::uint64_t>(v.size()));
-  util::append_pod_array(out, v.data(), v.size());
+template <typename IO, util::RecordOf<HeartbeatMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "Heartbeat schema");
+  io.field(m.executor_id);
+  io.field(m.seq);
+  io.field(m.busy_leases);
+  io.vector(m.telemetry, kBlobBytes);
 }
 
-template <typename T>
-std::vector<T> read_vector(const std::vector<char>& in, std::size_t& offset,
-                           std::uint64_t max_elems = kMaxVectorElems) {
-  auto count = util::read_pod<std::uint64_t>(in, offset);
-  FLINT_CHECK_LE(count, max_elems);
-  // The payload must hold `count` elements before any of them is allocated.
-  FLINT_CHECK_LE(count, static_cast<std::uint64_t>((in.size() - offset) / sizeof(T)));
-  std::vector<T> v(static_cast<std::size_t>(count));
-  util::read_pod_array(in, offset, v.data(), v.size());
-  return v;
+template <typename IO, util::RecordOf<TaskLeaseMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "TaskLease schema");
+  io.field(m.lease_id);
+  io.field(m.task_id);
+  io.field(m.client_id);
+  io.field(m.round);
+  io.field(m.seed);
+  io.field(m.dp_participants);
+  io.field(m.lr);
+  io.field(m.epochs);
+  io.field(m.batch_size);
+  io.enumerated(m.loss_kind, kLossKind);
+  io.field(m.clip_norm);
+  io.field(m.momentum);
+  io.field(m.prox_mu);
+  io.field(m.has_dp);
+  io.field(m.dp_clip_norm);
+  io.field(m.dp_noise_multiplier);
+  io.field(m.dp_delta);
+  io.enumerated(m.compression_kind, kCompressionKind);
+  io.field(m.top_k_fraction);
+  io.field(m.trace_id);
+  io.field(m.parent_span_id);
+  io.vector(m.params, kVectorElems);
+  io.records(m.examples, kExamples, kExampleMinBytes, [](auto& io, auto& e) {
+    io.vector(e.dense, kVectorElems);
+    io.vector(e.tokens, kVectorElems);
+    io.field(e.label);
+    io.field(e.label2);
+    io.field(e.group);
+  });
 }
 
-void append_bytes(std::vector<char>& out, const std::vector<char>& blob) {
-  util::append_pod(out, static_cast<std::uint64_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
+template <typename IO, util::RecordOf<TaskResultMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "TaskResult schema");
+  io.field(m.lease_id);
+  io.field(m.task_id);
+  io.field(m.executor_id);
+  io.field(m.ok);
+  io.string(m.error, kStringBytes);
+  io.field(m.trace_id);
+  io.field(m.span_id);
+  io.field(m.compression_kind);
+  switch (static_cast<compress::CompressionKind>(m.compression_kind)) {
+    case compress::CompressionKind::kNone:
+      io.vector(m.delta, kVectorElems);
+      break;
+    case compress::CompressionKind::kInt8:
+      io.field(m.quantized.scale);
+      io.vector(m.quantized.values, kVectorElems);
+      break;
+    case compress::CompressionKind::kTopK:
+      io.field(m.sparse.dim);
+      io.vector(m.sparse.indices, kVectorElems);
+      io.vector(m.sparse.values, kVectorElems);
+      FLINT_CHECK_MSG(m.sparse.indices.size() == m.sparse.values.size(),
+                      "TaskResult sparse payload: " << m.sparse.indices.size()
+                                                    << " indices vs "
+                                                    << m.sparse.values.size() << " values");
+      break;
+    default:
+      FLINT_CHECK_MSG(false, "TaskResult has unknown compression kind " << m.compression_kind);
+  }
+  io.field(m.weight);
+  io.field(m.mean_loss);
+  io.field(m.examples);
 }
 
-std::vector<char> read_bytes(const std::vector<char>& in, std::size_t& offset) {
-  auto size = util::read_pod<std::uint64_t>(in, offset);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_LE(size, static_cast<std::uint64_t>(in.size() - offset));
-  std::vector<char> blob(in.begin() + static_cast<std::ptrdiff_t>(offset),
-                         in.begin() + static_cast<std::ptrdiff_t>(offset + size));
-  offset += static_cast<std::size_t>(size);
-  return blob;
+template <typename IO, util::RecordOf<ShutdownMsg> M>
+void walk(IO& io, M& m) {
+  io.version(M::kSchemaVersion, "Shutdown schema");
+  io.string(m.reason, kStringBytes);
 }
 
-void append_example(std::vector<char>& out, const ml::Example& e) {
-  append_vector(out, e.dense);
-  append_vector(out, e.tokens);
-  util::append_pod(out, e.label);
-  util::append_pod(out, e.label2);
-  util::append_pod(out, e.group);
+template <typename M>
+std::vector<char> encode(const M& msg) {
+  util::ByteWriter out;
+  walk(out, msg);
+  return out.take();
 }
 
-ml::Example read_example(const std::vector<char>& in, std::size_t& offset) {
-  ml::Example e;
-  e.dense = read_vector<float>(in, offset);
-  e.tokens = read_vector<std::int32_t>(in, offset);
-  e.label = util::read_pod<float>(in, offset);
-  e.label2 = util::read_pod<float>(in, offset);
-  e.group = util::read_pod<std::int32_t>(in, offset);
-  return e;
-}
-
-void check_schema(const char* what, std::uint16_t got, std::uint16_t expect) {
-  FLINT_CHECK_MSG(got == expect, what << " schema version " << got
-                                      << " does not match this build's " << expect);
-}
-
-void check_consumed(const char* what, std::size_t offset, std::size_t size) {
-  FLINT_CHECK_MSG(offset == size, what << " payload has " << size - offset
-                                       << " trailing byte(s)");
+template <typename M>
+M decode(const std::vector<char>& bytes, const char* what) {
+  util::ByteReader in(bytes);
+  M msg;
+  walk(in, msg);
+  in.finish(what);
+  return msg;
 }
 
 }  // namespace
 
-std::vector<char> RegisterExecutorMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  append_string(out, name);
-  util::append_pod(out, slots);
-  return out;
-}
+std::vector<char> RegisterExecutorMsg::serialize() const { return encode(*this); }
 
 RegisterExecutorMsg RegisterExecutorMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("RegisterExecutor", util::read_pod<std::uint16_t>(bytes, offset),
-               kSchemaVersion);
-  RegisterExecutorMsg msg;
-  msg.name = read_string(bytes, offset);
-  msg.slots = util::read_pod<std::uint32_t>(bytes, offset);
-  check_consumed("RegisterExecutor", offset, bytes.size());
-  return msg;
+  return decode<RegisterExecutorMsg>(bytes, "RegisterExecutor payload");
 }
 
-std::vector<char> RegisterAckMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  util::append_pod(out, executor_id);
-  util::append_pod(out, heartbeat_interval_s);
-  util::append_pod(out, heartbeat_timeout_s);
-  util::append_pod(out, dense_dim);
-  util::append_pod(out, leader_wall_us);
-  append_bytes(out, model_blob);
-  return out;
-}
+std::vector<char> RegisterAckMsg::serialize() const { return encode(*this); }
 
 RegisterAckMsg RegisterAckMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("RegisterAck", util::read_pod<std::uint16_t>(bytes, offset), kSchemaVersion);
-  RegisterAckMsg msg;
-  msg.executor_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.heartbeat_interval_s = util::read_pod<double>(bytes, offset);
-  msg.heartbeat_timeout_s = util::read_pod<double>(bytes, offset);
-  msg.dense_dim = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.leader_wall_us = util::read_pod<double>(bytes, offset);
-  msg.model_blob = read_bytes(bytes, offset);
-  check_consumed("RegisterAck", offset, bytes.size());
-  return msg;
+  return decode<RegisterAckMsg>(bytes, "RegisterAck payload");
 }
 
-std::vector<char> HeartbeatMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  util::append_pod(out, executor_id);
-  util::append_pod(out, seq);
-  util::append_pod(out, busy_leases);
-  append_bytes(out, telemetry);
-  return out;
-}
+std::vector<char> HeartbeatMsg::serialize() const { return encode(*this); }
 
 HeartbeatMsg HeartbeatMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("Heartbeat", util::read_pod<std::uint16_t>(bytes, offset), kSchemaVersion);
-  HeartbeatMsg msg;
-  msg.executor_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.seq = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.busy_leases = util::read_pod<std::uint32_t>(bytes, offset);
-  msg.telemetry = read_bytes(bytes, offset);
-  check_consumed("Heartbeat", offset, bytes.size());
-  return msg;
+  return decode<HeartbeatMsg>(bytes, "Heartbeat payload");
 }
 
-std::vector<char> TaskLeaseMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  util::append_pod(out, lease_id);
-  util::append_pod(out, task_id);
-  util::append_pod(out, client_id);
-  util::append_pod(out, round);
-  util::append_pod(out, seed);
-  util::append_pod(out, dp_participants);
-  util::append_pod(out, lr);
-  util::append_pod(out, epochs);
-  util::append_pod(out, batch_size);
-  util::append_pod(out, loss_kind);
-  util::append_pod(out, clip_norm);
-  util::append_pod(out, momentum);
-  util::append_pod(out, prox_mu);
-  util::append_pod(out, static_cast<std::uint8_t>(has_dp ? 1 : 0));
-  util::append_pod(out, dp_clip_norm);
-  util::append_pod(out, dp_noise_multiplier);
-  util::append_pod(out, dp_delta);
-  util::append_pod(out, compression_kind);
-  util::append_pod(out, top_k_fraction);
-  util::append_pod(out, trace_id);
-  util::append_pod(out, parent_span_id);
-  append_vector(out, params);
-  FLINT_CHECK_LE(examples.size(), static_cast<std::size_t>(kMaxExamples));
-  util::append_pod(out, static_cast<std::uint64_t>(examples.size()));
-  for (const ml::Example& e : examples) append_example(out, e);
-  return out;
-}
+std::vector<char> TaskLeaseMsg::serialize() const { return encode(*this); }
 
 TaskLeaseMsg TaskLeaseMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("TaskLease", util::read_pod<std::uint16_t>(bytes, offset), kSchemaVersion);
-  TaskLeaseMsg msg;
-  msg.lease_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.task_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.client_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.round = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.seed = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.dp_participants = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.lr = util::read_pod<double>(bytes, offset);
-  msg.epochs = util::read_pod<std::int32_t>(bytes, offset);
-  msg.batch_size = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.loss_kind = util::read_pod<std::uint32_t>(bytes, offset);
-  msg.clip_norm = util::read_pod<double>(bytes, offset);
-  msg.momentum = util::read_pod<double>(bytes, offset);
-  msg.prox_mu = util::read_pod<double>(bytes, offset);
-  msg.has_dp = util::read_pod<std::uint8_t>(bytes, offset) != 0;
-  msg.dp_clip_norm = util::read_pod<double>(bytes, offset);
-  msg.dp_noise_multiplier = util::read_pod<double>(bytes, offset);
-  msg.dp_delta = util::read_pod<double>(bytes, offset);
-  msg.compression_kind = util::read_pod<std::uint32_t>(bytes, offset);
-  msg.top_k_fraction = util::read_pod<double>(bytes, offset);
-  msg.trace_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.parent_span_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.params = read_vector<float>(bytes, offset);
-  auto example_count = util::read_pod<std::uint64_t>(bytes, offset);
-  FLINT_CHECK_LE(example_count, kMaxExamples);
-  msg.examples.reserve(static_cast<std::size_t>(example_count));
-  for (std::uint64_t i = 0; i < example_count; ++i)
-    msg.examples.push_back(read_example(bytes, offset));
-  check_consumed("TaskLease", offset, bytes.size());
-  return msg;
+  return decode<TaskLeaseMsg>(bytes, "TaskLease payload");
 }
 
 void TaskResultMsg::encode_delta(std::vector<float> dense,
@@ -280,82 +220,12 @@ std::size_t TaskResultMsg::payload_bytes() const {
   return delta.size() * sizeof(float);
 }
 
-std::vector<char> TaskResultMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  util::append_pod(out, lease_id);
-  util::append_pod(out, task_id);
-  util::append_pod(out, executor_id);
-  util::append_pod(out, static_cast<std::uint8_t>(ok ? 1 : 0));
-  append_string(out, error);
-  util::append_pod(out, trace_id);
-  util::append_pod(out, span_id);
-  util::append_pod(out, compression_kind);
-  switch (static_cast<compress::CompressionKind>(compression_kind)) {
-    case compress::CompressionKind::kNone:
-      append_vector(out, delta);
-      break;
-    case compress::CompressionKind::kInt8:
-      util::append_pod(out, quantized.scale);
-      append_vector(out, quantized.values);
-      break;
-    case compress::CompressionKind::kTopK:
-      util::append_pod(out, sparse.dim);
-      append_vector(out, sparse.indices);
-      append_vector(out, sparse.values);
-      break;
-  }
-  util::append_pod(out, weight);
-  util::append_pod(out, mean_loss);
-  util::append_pod(out, examples);
-  return out;
-}
+std::vector<char> TaskResultMsg::serialize() const { return encode(*this); }
 
 TaskResultMsg TaskResultMsg::deserialize(const std::vector<char>& bytes) {
-  std::size_t offset = 0;
-  check_schema("TaskResult", util::read_pod<std::uint16_t>(bytes, offset), kSchemaVersion);
-  TaskResultMsg msg;
-  msg.lease_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.task_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.executor_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.ok = util::read_pod<std::uint8_t>(bytes, offset) != 0;
-  msg.error = read_string(bytes, offset);
-  msg.trace_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.span_id = util::read_pod<std::uint64_t>(bytes, offset);
-  msg.compression_kind = util::read_pod<std::uint32_t>(bytes, offset);
-  switch (msg.compression_kind) {
-    case static_cast<std::uint32_t>(compress::CompressionKind::kNone):
-      msg.delta = read_vector<float>(bytes, offset);
-      break;
-    case static_cast<std::uint32_t>(compress::CompressionKind::kInt8):
-      msg.quantized.scale = util::read_pod<float>(bytes, offset);
-      msg.quantized.values = read_vector<std::int8_t>(bytes, offset);
-      break;
-    case static_cast<std::uint32_t>(compress::CompressionKind::kTopK):
-      msg.sparse.dim = util::read_pod<std::uint32_t>(bytes, offset);
-      msg.sparse.indices = read_vector<std::uint32_t>(bytes, offset);
-      msg.sparse.values = read_vector<float>(bytes, offset);
-      FLINT_CHECK_MSG(msg.sparse.indices.size() == msg.sparse.values.size(),
-                      "TaskResult sparse payload: " << msg.sparse.indices.size()
-                                                    << " indices vs "
-                                                    << msg.sparse.values.size() << " values");
-      break;
-    default:
-      FLINT_CHECK_MSG(false,
-                      "TaskResult has unknown compression kind " << msg.compression_kind);
-  }
-  msg.weight = util::read_pod<double>(bytes, offset);
-  msg.mean_loss = util::read_pod<double>(bytes, offset);
-  msg.examples = util::read_pod<std::uint64_t>(bytes, offset);
-  check_consumed("TaskResult", offset, bytes.size());
-  return msg;
+  return decode<TaskResultMsg>(bytes, "TaskResult payload");
 }
 
-std::vector<char> ShutdownMsg::serialize() const {
-  std::vector<char> out;
-  util::append_pod(out, kSchemaVersion);
-  append_string(out, reason);
-  return out;
-}
+std::vector<char> ShutdownMsg::serialize() const { return encode(*this); }
 
 }  // namespace flint::rpc

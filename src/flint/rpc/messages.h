@@ -1,5 +1,5 @@
-// The five leader/executor message schemas (DESIGN.md §14), each serialized
-// with util/bytes pod helpers into a frame payload. Every schema leads with
+// The six leader/executor message schemas (DESIGN.md §14), each serialized
+// into a frame payload by one util/bytes.h field walk. Every schema leads with
 // its own u16 version — independent of the frame protocol version — so a
 // single message can evolve without bumping the whole wire.
 //
@@ -86,6 +86,8 @@ struct TaskLeaseMsg {
   std::int32_t epochs = 1;
   std::uint64_t batch_size = 16;
   std::uint32_t loss_kind = 0;  ///< data::LossKind as its underlying value
+  /// data::LossKind::kPairwiseRanking; deserialize rejects anything above.
+  static constexpr std::uint32_t kMaxLossKind = 1;
   double clip_norm = 0.0;
   double momentum = 0.0;
   double prox_mu = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -39,294 +38,155 @@ std::int64_t seq_of(const fs::path& path) {
   }
 }
 
-// --- payload field helpers --------------------------------------------------
-// Every variable-length field is a u64 count followed by elements, and every
-// count is validated with the division form `n <= remaining / elem_size` —
-// the multiplied form overflows size_t for a corrupt huge n and bypasses the
-// bound entirely.
+// --- payload walk ------------------------------------------------------------
+// Every variable-length field is a u64 count followed by its elements. The
+// minimum record sizes below let the reader bound each count by the bytes
+// left before it allocates.
 
-void append_string(std::vector<char>& out, const std::string& s) {
-  util::append_pod(out, static_cast<std::uint64_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+constexpr util::Count<std::uint64_t> kCount{};
+constexpr std::size_t kRoundRecordBytes = 5 * 8;
+constexpr std::size_t kWriteRecordBytes = 2 * 8;
+constexpr std::size_t kRequeuedBytes = 4 * 8;
+constexpr std::size_t kParticipationBytes = 2 * 8;
+constexpr std::size_t kEvalPointBytes = 4 * 8;
+constexpr std::size_t kClientAccountBytes = 9 * 8;
+// 14 eight-byte fields, the interrupted flag and the delta's count.
+constexpr std::size_t kInFlightMinBytes = 14 * 8 + 1 + 8;
+
+template <typename IO, util::RecordOf<CheckpointMetrics> M>
+void walk(IO& io, M& m) {
+  io.field(m.tasks_started);
+  io.field(m.tasks_succeeded);
+  io.field(m.tasks_interrupted);
+  io.field(m.tasks_stale);
+  io.field(m.tasks_failed);
+  io.field(m.updates_aggregated);
+  io.field(m.client_compute_s);
+  io.records(m.rounds, kCount, kRoundRecordBytes, [](auto& io, auto& r) {
+    io.field(r.round);
+    io.field(r.start);
+    io.field(r.end);
+    io.field(r.updates_aggregated);
+    io.field(r.mean_staleness);
+  });
+  io.records(m.checkpoints, kCount, kWriteRecordBytes, [](auto& io, auto& c) {
+    io.field(c.round);
+    io.field(c.time);
+  });
 }
 
-std::string read_string(const std::vector<char>& in, std::size_t& offset) {
-  auto n = util::read_pod<std::uint64_t>(in, offset);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_MSG(n <= in.size() - offset, "corrupt checkpoint: string length " << n);
-  std::string s(in.data() + offset, in.data() + offset + n);
-  offset += n;
-  return s;
+template <typename IO, util::RecordOf<CheckpointInFlightTask> T>
+void walk(IO& io, T& t) {
+  io.field(t.task_id);
+  io.field(t.client_id);
+  io.field(t.device_index);
+  io.field(t.model_version);
+  io.field(t.dispatch_time);
+  io.field(t.compute_s);
+  io.field(t.comm_s);
+  io.field(t.examples);
+  io.field(t.update_bytes);
+  io.field(t.spent_compute_s);
+  io.field(t.window_end);
+  io.field(t.finish_time);
+  io.field(t.interrupted);
+  io.field(t.stamp);
+  io.field(t.update_weight);
+  io.vector(t.update_delta, kCount);
 }
 
-template <typename T>
-void append_numeric_vector(std::vector<char>& out, const std::vector<T>& v) {
-  util::append_pod(out, static_cast<std::uint64_t>(v.size()));
-  util::append_pod_array(out, v.data(), v.size());
+template <typename IO, util::RecordOf<CheckpointFedBuff> F>
+void walk(IO& io, F& fb) {
+  io.vector(fb.accumulator_sum, kCount);
+  io.field(fb.accumulator_weight_sum);
+  io.field(fb.accumulator_count);
+  io.field(fb.staleness_sum);
+  io.field(fb.round_start);
+  io.field(fb.last_aggregation_time);
+  io.field(fb.pump_scheduled);
+  io.field(fb.pump_time);
+  io.field(fb.pump_stamp);
+  io.field(fb.next_stamp);
+  io.records(fb.in_flight, kCount, kInFlightMinBytes, [](auto& io, auto& t) { walk(io, t); });
 }
 
-/// Read a u64 element count for elements of `elem_size` bytes, guarded so a
-/// corrupt count can neither wrap the bounds check nor drive a giant resize.
-std::uint64_t read_count(const std::vector<char>& in, std::size_t& offset,
-                         std::size_t elem_size) {
-  auto n = util::read_pod<std::uint64_t>(in, offset);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_MSG(n <= (in.size() - offset) / elem_size,
-                  "corrupt checkpoint: element count " << n << " exceeds remaining "
-                                                       << (in.size() - offset) << " bytes");
-  return n;
-}
-
-template <typename T>
-std::vector<T> read_numeric_vector(const std::vector<char>& in, std::size_t& offset) {
-  std::vector<T> v(read_count(in, offset, sizeof(T)));
-  util::read_pod_array(in, offset, v.data(), v.size());
-  return v;
-}
-
-void append_metrics(std::vector<char>& out, const CheckpointMetrics& m) {
-  util::append_pod(out, m.tasks_started);
-  util::append_pod(out, m.tasks_succeeded);
-  util::append_pod(out, m.tasks_interrupted);
-  util::append_pod(out, m.tasks_stale);
-  util::append_pod(out, m.tasks_failed);
-  util::append_pod(out, m.updates_aggregated);
-  util::append_pod(out, m.client_compute_s);
-  util::append_pod(out, static_cast<std::uint64_t>(m.rounds.size()));
-  for (const auto& r : m.rounds) {
-    util::append_pod(out, r.round);
-    util::append_pod(out, r.start);
-    util::append_pod(out, r.end);
-    util::append_pod(out, r.updates_aggregated);
-    util::append_pod(out, r.mean_staleness);
-  }
-  util::append_pod(out, static_cast<std::uint64_t>(m.checkpoints.size()));
-  for (const auto& c : m.checkpoints) {
-    util::append_pod(out, c.round);
-    util::append_pod(out, c.time);
-  }
-}
-
-CheckpointMetrics read_metrics(const std::vector<char>& in, std::size_t& offset) {
-  CheckpointMetrics m;
-  m.tasks_started = util::read_pod<std::uint64_t>(in, offset);
-  m.tasks_succeeded = util::read_pod<std::uint64_t>(in, offset);
-  m.tasks_interrupted = util::read_pod<std::uint64_t>(in, offset);
-  m.tasks_stale = util::read_pod<std::uint64_t>(in, offset);
-  m.tasks_failed = util::read_pod<std::uint64_t>(in, offset);
-  m.updates_aggregated = util::read_pod<std::uint64_t>(in, offset);
-  m.client_compute_s = util::read_pod<double>(in, offset);
-  m.rounds.resize(read_count(in, offset, 5 * sizeof(std::uint64_t)));
-  for (auto& r : m.rounds) {
-    r.round = util::read_pod<std::uint64_t>(in, offset);
-    r.start = util::read_pod<double>(in, offset);
-    r.end = util::read_pod<double>(in, offset);
-    r.updates_aggregated = util::read_pod<std::uint64_t>(in, offset);
-    r.mean_staleness = util::read_pod<double>(in, offset);
-  }
-  m.checkpoints.resize(read_count(in, offset, 2 * sizeof(std::uint64_t)));
-  for (auto& c : m.checkpoints) {
-    c.round = util::read_pod<std::uint64_t>(in, offset);
-    c.time = util::read_pod<double>(in, offset);
-  }
-  return m;
-}
-
-void append_fedbuff(std::vector<char>& out, const CheckpointFedBuff& fb) {
-  append_numeric_vector(out, fb.accumulator_sum);
-  util::append_pod(out, fb.accumulator_weight_sum);
-  util::append_pod(out, fb.accumulator_count);
-  util::append_pod(out, fb.staleness_sum);
-  util::append_pod(out, fb.round_start);
-  util::append_pod(out, fb.last_aggregation_time);
-  util::append_pod(out, static_cast<std::uint8_t>(fb.pump_scheduled ? 1 : 0));
-  util::append_pod(out, fb.pump_time);
-  util::append_pod(out, fb.pump_stamp);
-  util::append_pod(out, fb.next_stamp);
-  util::append_pod(out, static_cast<std::uint64_t>(fb.in_flight.size()));
-  for (const auto& t : fb.in_flight) {
-    util::append_pod(out, t.task_id);
-    util::append_pod(out, t.client_id);
-    util::append_pod(out, t.device_index);
-    util::append_pod(out, t.model_version);
-    util::append_pod(out, t.dispatch_time);
-    util::append_pod(out, t.compute_s);
-    util::append_pod(out, t.comm_s);
-    util::append_pod(out, t.examples);
-    util::append_pod(out, t.update_bytes);
-    util::append_pod(out, t.spent_compute_s);
-    util::append_pod(out, t.window_end);
-    util::append_pod(out, t.finish_time);
-    util::append_pod(out, static_cast<std::uint8_t>(t.interrupted ? 1 : 0));
-    util::append_pod(out, t.stamp);
-    util::append_pod(out, t.update_weight);
-    append_numeric_vector(out, t.update_delta);
-  }
-}
-
-CheckpointFedBuff read_fedbuff(const std::vector<char>& in, std::size_t& offset) {
-  CheckpointFedBuff fb;
-  fb.accumulator_sum = read_numeric_vector<double>(in, offset);
-  fb.accumulator_weight_sum = util::read_pod<double>(in, offset);
-  fb.accumulator_count = util::read_pod<std::uint64_t>(in, offset);
-  fb.staleness_sum = util::read_pod<double>(in, offset);
-  fb.round_start = util::read_pod<double>(in, offset);
-  fb.last_aggregation_time = util::read_pod<double>(in, offset);
-  fb.pump_scheduled = util::read_pod<std::uint8_t>(in, offset) != 0;
-  fb.pump_time = util::read_pod<double>(in, offset);
-  fb.pump_stamp = util::read_pod<std::uint64_t>(in, offset);
-  fb.next_stamp = util::read_pod<std::uint64_t>(in, offset);
-  // Each in-flight record is >= 14 fixed 8-byte fields; the exact floor only
-  // needs to make a corrupt count harmless before the per-record reads.
-  fb.in_flight.resize(read_count(in, offset, 14 * sizeof(std::uint64_t)));
-  for (auto& t : fb.in_flight) {
-    t.task_id = util::read_pod<std::uint64_t>(in, offset);
-    t.client_id = util::read_pod<std::uint64_t>(in, offset);
-    t.device_index = util::read_pod<std::uint64_t>(in, offset);
-    t.model_version = util::read_pod<std::uint64_t>(in, offset);
-    t.dispatch_time = util::read_pod<double>(in, offset);
-    t.compute_s = util::read_pod<double>(in, offset);
-    t.comm_s = util::read_pod<double>(in, offset);
-    t.examples = util::read_pod<std::uint64_t>(in, offset);
-    t.update_bytes = util::read_pod<std::uint64_t>(in, offset);
-    t.spent_compute_s = util::read_pod<double>(in, offset);
-    t.window_end = util::read_pod<double>(in, offset);
-    t.finish_time = util::read_pod<double>(in, offset);
-    t.interrupted = util::read_pod<std::uint8_t>(in, offset) != 0;
-    t.stamp = util::read_pod<std::uint64_t>(in, offset);
-    t.update_weight = util::read_pod<double>(in, offset);
-    t.update_delta = read_numeric_vector<float>(in, offset);
-  }
-  return fb;
+template <typename IO, util::RecordOf<SimCheckpoint> C>
+void walk(IO& io, C& c) {
+  io.field(c.run_seed);
+  io.field(c.algo);
+  io.field(c.resume_count);
+  io.field(c.checkpoints_written);
+  io.field(c.virtual_time_s);
+  io.field(c.round);
+  io.field(c.tasks_completed);
+  io.vector(c.model_parameters, kCount);
+  io.vector(c.server_velocity, kCount);
+  io.string(c.server_rng_state, kCount);
+  io.field(c.next_task_id);
+  io.field(c.arrival_cursor);
+  io.records(c.requeued, kCount, kRequeuedBytes, [](auto& io, auto& r) {
+    io.field(r.time);
+    io.field(r.client_id);
+    io.field(r.device_index);
+    io.field(r.window_end);
+  });
+  io.records(c.last_participation, kCount, kParticipationBytes, [](auto& io, auto& p) {
+    io.field(p.first);
+    io.field(p.second);
+  });
+  walk(io, c.metrics);
+  io.records(c.eval_curve, kCount, kEvalPointBytes, [](auto& io, auto& e) {
+    io.field(e.time);
+    io.field(e.round);
+    io.field(e.metric);
+    io.field(e.train_loss);
+  });
+  io.records(c.client_accounts, kCount, kClientAccountBytes, [](auto& io, auto& a) {
+    io.field(a.client_id);
+    io.field(a.tasks_succeeded);
+    io.field(a.tasks_interrupted);
+    io.field(a.tasks_stale);
+    io.field(a.tasks_failed);
+    io.field(a.compute_s);
+    io.field(a.wasted_compute_s);
+    io.field(a.bytes_down);
+    io.field(a.bytes_up);
+  });
+  io.field(c.has_fedbuff);
+  if (c.has_fedbuff) walk(io, c.fedbuff);
 }
 
 }  // namespace
 
 std::vector<char> serialize_checkpoint(const SimCheckpoint& c) {
-  std::vector<char> payload;
-  util::append_pod(payload, c.run_seed);
-  util::append_pod(payload, c.algo);
-  util::append_pod(payload, c.resume_count);
-  util::append_pod(payload, c.checkpoints_written);
-  util::append_pod(payload, c.virtual_time_s);
-  util::append_pod(payload, c.round);
-  util::append_pod(payload, c.tasks_completed);
-  append_numeric_vector(payload, c.model_parameters);
-  append_numeric_vector(payload, c.server_velocity);
-  append_string(payload, c.server_rng_state);
-  util::append_pod(payload, c.next_task_id);
-  util::append_pod(payload, c.arrival_cursor);
-  util::append_pod(payload, static_cast<std::uint64_t>(c.requeued.size()));
-  for (const auto& r : c.requeued) {
-    util::append_pod(payload, r.time);
-    util::append_pod(payload, r.client_id);
-    util::append_pod(payload, r.device_index);
-    util::append_pod(payload, r.window_end);
-  }
-  util::append_pod(payload, static_cast<std::uint64_t>(c.last_participation.size()));
-  for (const auto& [client, time] : c.last_participation) {
-    util::append_pod(payload, client);
-    util::append_pod(payload, time);
-  }
-  append_metrics(payload, c.metrics);
-  util::append_pod(payload, static_cast<std::uint64_t>(c.eval_curve.size()));
-  for (const auto& e : c.eval_curve) {
-    util::append_pod(payload, e.time);
-    util::append_pod(payload, e.round);
-    util::append_pod(payload, e.metric);
-    util::append_pod(payload, e.train_loss);
-  }
-  util::append_pod(payload, static_cast<std::uint64_t>(c.client_accounts.size()));
-  for (const auto& a : c.client_accounts) {
-    util::append_pod(payload, a.client_id);
-    util::append_pod(payload, a.tasks_succeeded);
-    util::append_pod(payload, a.tasks_interrupted);
-    util::append_pod(payload, a.tasks_stale);
-    util::append_pod(payload, a.tasks_failed);
-    util::append_pod(payload, a.compute_s);
-    util::append_pod(payload, a.wasted_compute_s);
-    util::append_pod(payload, a.bytes_down);
-    util::append_pod(payload, a.bytes_up);
-  }
-  util::append_pod(payload, static_cast<std::uint8_t>(c.has_fedbuff ? 1 : 0));
-  if (c.has_fedbuff) append_fedbuff(payload, c.fedbuff);
-
-  std::vector<char> out;
+  util::ByteWriter payload;
+  walk(payload, c);
+  util::ByteWriter out;
   out.reserve(kHeaderSize + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 4);
-  util::append_pod(out, kFormatVersion);
-  util::append_pod(out, static_cast<std::uint64_t>(payload.size()));
-  util::append_pod(out, util::crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  out.magic(kMagic, "checkpoint");
+  out.version(kFormatVersion, "checkpoint format");
+  out.field(static_cast<std::uint64_t>(payload.size()));
+  out.field(util::crc32(payload.data(), payload.size()));
+  out.raw(payload.data(), payload.size());
+  return out.take();
 }
 
 SimCheckpoint deserialize_checkpoint(const std::vector<char>& bytes) {
-  FLINT_CHECK_MSG(bytes.size() >= kHeaderSize, "checkpoint blob truncated: " << bytes.size()
-                                                                             << " bytes");
-  FLINT_CHECK_MSG(std::memcmp(bytes.data(), kMagic, 4) == 0, "bad checkpoint magic");
-  std::size_t offset = 4;
-  auto version = util::read_pod<std::uint32_t>(bytes, offset);
-  FLINT_CHECK_MSG(version == kFormatVersion,
-                  "unsupported checkpoint format version " << version);
-  auto payload_size = util::read_pod<std::uint64_t>(bytes, offset);
-  FLINT_CHECK_MSG(payload_size == bytes.size() - kHeaderSize,
+  util::ByteReader in(bytes);
+  in.magic(kMagic, "checkpoint");
+  in.version(kFormatVersion, "checkpoint format");
+  const auto payload_size = in.read<std::uint64_t>();
+  const auto expected_crc = in.read<std::uint32_t>();
+  FLINT_CHECK_MSG(payload_size == in.remaining(),
                   "checkpoint payload truncated: header says " << payload_size << ", have "
-                                                               << bytes.size() - kHeaderSize);
-  auto expected_crc = util::read_pod<std::uint32_t>(bytes, offset);
-  std::uint32_t actual_crc = util::crc32(bytes.data() + kHeaderSize, payload_size);
+                                                               << in.remaining());
+  std::uint32_t actual_crc = util::crc32(bytes.data() + kHeaderSize, in.remaining());
   FLINT_CHECK_MSG(actual_crc == expected_crc, "checkpoint CRC mismatch: stored "
                                                   << expected_crc << ", computed " << actual_crc);
 
   SimCheckpoint c;
-  c.run_seed = util::read_pod<std::uint64_t>(bytes, offset);
-  c.algo = util::read_pod<std::uint8_t>(bytes, offset);
-  c.resume_count = util::read_pod<std::uint64_t>(bytes, offset);
-  c.checkpoints_written = util::read_pod<std::uint64_t>(bytes, offset);
-  c.virtual_time_s = util::read_pod<double>(bytes, offset);
-  c.round = util::read_pod<std::uint64_t>(bytes, offset);
-  c.tasks_completed = util::read_pod<std::uint64_t>(bytes, offset);
-  c.model_parameters = read_numeric_vector<float>(bytes, offset);
-  c.server_velocity = read_numeric_vector<float>(bytes, offset);
-  c.server_rng_state = read_string(bytes, offset);
-  c.next_task_id = util::read_pod<std::uint64_t>(bytes, offset);
-  c.arrival_cursor = util::read_pod<std::uint64_t>(bytes, offset);
-  c.requeued.resize(read_count(bytes, offset, 4 * sizeof(std::uint64_t)));
-  for (auto& r : c.requeued) {
-    r.time = util::read_pod<double>(bytes, offset);
-    r.client_id = util::read_pod<std::uint64_t>(bytes, offset);
-    r.device_index = util::read_pod<std::uint64_t>(bytes, offset);
-    r.window_end = util::read_pod<double>(bytes, offset);
-  }
-  c.last_participation.resize(read_count(bytes, offset, 2 * sizeof(std::uint64_t)));
-  for (auto& [client, time] : c.last_participation) {
-    client = util::read_pod<std::uint64_t>(bytes, offset);
-    time = util::read_pod<double>(bytes, offset);
-  }
-  c.metrics = read_metrics(bytes, offset);
-  c.eval_curve.resize(read_count(bytes, offset, 4 * sizeof(std::uint64_t)));
-  for (auto& e : c.eval_curve) {
-    e.time = util::read_pod<double>(bytes, offset);
-    e.round = util::read_pod<std::uint64_t>(bytes, offset);
-    e.metric = util::read_pod<double>(bytes, offset);
-    e.train_loss = util::read_pod<double>(bytes, offset);
-  }
-  c.client_accounts.resize(read_count(bytes, offset, 9 * sizeof(std::uint64_t)));
-  for (auto& a : c.client_accounts) {
-    a.client_id = util::read_pod<std::uint64_t>(bytes, offset);
-    a.tasks_succeeded = util::read_pod<std::uint64_t>(bytes, offset);
-    a.tasks_interrupted = util::read_pod<std::uint64_t>(bytes, offset);
-    a.tasks_stale = util::read_pod<std::uint64_t>(bytes, offset);
-    a.tasks_failed = util::read_pod<std::uint64_t>(bytes, offset);
-    a.compute_s = util::read_pod<double>(bytes, offset);
-    a.wasted_compute_s = util::read_pod<double>(bytes, offset);
-    a.bytes_down = util::read_pod<std::uint64_t>(bytes, offset);
-    a.bytes_up = util::read_pod<std::uint64_t>(bytes, offset);
-  }
-  c.has_fedbuff = util::read_pod<std::uint8_t>(bytes, offset) != 0;
-  if (c.has_fedbuff) c.fedbuff = read_fedbuff(bytes, offset);
-  FLINT_CHECK_MSG(offset == bytes.size(),
-                  "checkpoint has " << bytes.size() - offset << " trailing bytes");
+  walk(in, c);
+  in.finish("checkpoint");
   FLINT_CHECK_FINITE(c.virtual_time_s);
   FLINT_CHECK_GE(c.virtual_time_s, 0.0);
   return c;

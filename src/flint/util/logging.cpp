@@ -25,7 +25,9 @@ std::string timestamp_utc() {
 #else
   gmtime_r(&secs, &tm);
 #endif
-  char buf[40];
+  // 26 bytes for years 0000-9999; 80 holds the widest output six ints can
+  // print, so a clock far outside that range still logs an untruncated stamp.
+  char buf[80];
   std::snprintf(buf, sizeof(buf), "[%04d-%02d-%02dT%02d:%02d:%02d.%03d]", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,
                 static_cast<int>(ms));

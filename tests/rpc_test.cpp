@@ -337,12 +337,17 @@ TEST(Messages, Int8WireBytesShrinkAndReconcileWithPayloadBytes) {
 }
 
 TEST(Messages, TaskResultRejectsUnknownCompressionKind) {
-  rpc::TaskResultMsg msg = result_with(test_delta(8), compress::CompressionConfig{});
+  compress::CompressionConfig int8;
+  int8.kind = compress::CompressionKind::kInt8;
+  rpc::TaskResultMsg msg = result_with(test_delta(8), int8);
   std::vector<char> bytes = msg.serialize();
-  // compression_kind sits after schema(u32) + lease/task/executor ids
-  // (3 x u64) + ok(u8) + error string (u64 length, empty) + trace/span ids
+  // compression_kind sits after schema (u16) + lease/task/executor ids
+  // (3 x u64) + ok (u8) + error string (u32 length, empty) + trace/span ids
   // (2 x u64). Flip it to an undefined value.
-  const std::size_t kind_offset = 4 + 3 * 8 + 1 + 8 + 2 * 8;
+  const std::size_t kind_offset = 2 + 3 * 8 + 1 + 4 + 2 * 8;
+  std::uint32_t kind = 0;
+  std::memcpy(&kind, bytes.data() + kind_offset, sizeof(kind));
+  ASSERT_EQ(kind, static_cast<std::uint32_t>(compress::CompressionKind::kInt8));
   std::uint32_t bogus = 0xABCD;
   std::memcpy(bytes.data() + kind_offset, &bogus, sizeof(bogus));
   EXPECT_THROW(rpc::TaskResultMsg::deserialize(bytes), util::CheckError);

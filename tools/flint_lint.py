@@ -44,6 +44,10 @@ in the file):
                   FLINT_TRACE_SPAN macro or raw obs::SpanGuard — an rpc span
                   without trace/span ids breaks cross-process parentage in
                   merged traces (DESIGN.md §15).
+  byte-codec      under src/, util::read_pod is called only inside
+                  util/bytes.h: every binary format reads through one
+                  ByteReader field walk, whose counts are bounded by the
+                  bytes left, instead of a hand-rolled offset walk.
   simd            raw SIMD intrinsics (<immintrin.h>/<arm_neon.h> includes,
                   _mm*/v*q_f32 calls) are confined to src/flint/ml/kernels/ —
                   everything else calls through the dispatched KernelTable so
@@ -95,6 +99,8 @@ SOCKET_HEADER_RE = re.compile(
 # simd: intrinsic headers and calls confined to src/flint/ml/kernels/.
 SIMD_HEADER_RE = re.compile(r"#\s*include\s*<(immintrin|x86intrin|emmintrin|arm_neon)\.h>")
 SIMD_INTRINSIC_RE = re.compile(r"\b_mm\d*_\w+\s*\(|\bv\w+q_(f|s|u)(8|16|32|64)\s*\(")
+# byte-codec: hand-rolled offset reads outside the codec itself.
+READ_POD_RE = re.compile(r"\bread_pod\s*[<(]")
 
 
 class Finding:
@@ -132,6 +138,8 @@ def lint_file(path: Path) -> list[Finding]:
     in_obs = "obs" in path.parts
     in_rpc = "rpc" in path.parts
     in_kernels = "kernels" in path.parts
+    in_src = "src" in path.parts
+    in_bytes_h = path.name == "bytes.h" and path.parent.name == "util"
     is_header = path.suffix in (".h", ".hpp")
 
     # pragma-once — against stripped text, so a commented-out
@@ -184,6 +192,14 @@ def lint_file(path: Path) -> list[Finding]:
                         "raw SIMD intrinsics are confined to src/flint/ml/kernels/; "
                         "call through ml::kernels::active() so every hot loop keeps "
                         "a scalar twin and the dispatch contract holds"))
+
+        # byte-codec
+        if in_src and not in_bytes_h and READ_POD_RE.search(line) \
+                and not suppressed("byte-codec", lines, idx):
+            findings.append(
+                Finding(path, lineno, "byte-codec",
+                        "read_pod outside util/bytes.h; describe the record as a "
+                        "field walk over util::ByteReader / util::ByteWriter"))
 
         # rpc-spans
         if in_rpc and ANON_SPAN_RE.search(line) and not suppressed("rpc-spans", lines, idx):

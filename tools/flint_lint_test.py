@@ -38,6 +38,11 @@ EXPECTATIONS: dict[str, list[str]] = {
     # and the NEON spelling. ml/kernels/ is the rule's one allowed home.
     "simd_intrinsics.cpp": ["simd", "simd", "simd", "simd"],
     "ml/kernels/simd_ok.cpp": [],
+    # Two unsuppressed read_pod calls under src/; the codec header itself and
+    # code outside src/ may call it.
+    "src/flint/store/hand_codec.cpp": ["byte-codec", "byte-codec"],
+    "src/flint/util/bytes.h": [],
+    "perfbench_read_pod.cpp": [],
 }
 
 
