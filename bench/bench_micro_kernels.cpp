@@ -13,9 +13,15 @@
 // `rng.draw_ratio_vs_std` (per-draw cost of a long stream, the median of 7
 // interleaved timings per side), both gated by tools/check_kernel_speedup.py
 // on a build without -march=native.
+// A third sweep times util::crc32 on the three sizes FLINT checksums most —
+// fedavg_fleet's result frame (4,455 bytes) and lease frame (22,939 bytes),
+// and a FedBuff checkpoint (97,276 bytes) — as `crc32.<bytes>B.gbps`,
+// and on the lease frame against a bytewise table reference kept here as
+// `crc32.speedup_vs_bytewise`, gated >= 3x by tools/check_kernel_speedup.py.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <random>
 
@@ -29,6 +35,8 @@
 #include "flint/ml/loss.h"
 #include "flint/ml/model.h"
 #include "flint/sim/event_queue.h"
+#include "flint/util/check.h"
+#include "flint/util/crc32.h"
 #include "flint/util/rng.h"
 
 namespace {
@@ -534,6 +542,64 @@ void run_rng_sweep(flint::bench::BenchArtifact& artifact) {
   artifact.add_scalar("rng.draw_ratio_vs_std", draw_ratio);
 }
 
+// ---------------------------------------------------------------------------
+// Hand-timed CRC-32 sweep: util::crc32 against the one-byte-per-step table
+// loop it replaced, which stays here only as the reference.
+
+constexpr std::array<std::uint32_t, 256> make_bytewise_crc32_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kBytewiseCrc32Table = make_bytewise_crc32_table();
+
+std::uint32_t bytewise_crc32(const unsigned char* bytes, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i)
+    c = kBytewiseCrc32Table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+constexpr std::size_t kCrcResultFrame = 4455;
+constexpr std::size_t kCrcLeaseFrame = 22939;
+constexpr std::size_t kCrcCheckpoint = 97276;
+
+void run_crc32_sweep(flint::bench::BenchArtifact& artifact) {
+  util::Rng rng(13);
+  std::vector<unsigned char> bytes(kCrcCheckpoint);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next_u64());
+  std::printf("\nutil::crc32 sweep (reference: bytewise table)\n");
+  for (std::size_t size : {kCrcResultFrame, kCrcLeaseFrame, kCrcCheckpoint}) {
+    const int reps = static_cast<int>(20'000'000 / size);
+    double s = time_best_s([&] { benchmark::DoNotOptimize(util::crc32(bytes.data(), size)); },
+                           reps);
+    double gbps = static_cast<double>(size) / s / 1e9;
+    std::printf("  %7zu bytes %10.2f us %8.2f GB/s\n", size, s * 1e6, gbps);
+    artifact.add_scalar("crc32." + std::to_string(size) + "B.gbps", gbps);
+  }
+  FLINT_CHECK_EQ(util::crc32(bytes.data(), kCrcLeaseFrame),
+                 bytewise_crc32(bytes.data(), kCrcLeaseFrame));
+  auto [fast_s, bytewise_s] = time_median_pair_s(
+      [&] {
+        for (int i = 0; i < 100; ++i)
+          benchmark::DoNotOptimize(util::crc32(bytes.data(), kCrcLeaseFrame));
+      },
+      [&] {
+        for (int i = 0; i < 100; ++i)
+          benchmark::DoNotOptimize(bytewise_crc32(bytes.data(), kCrcLeaseFrame));
+      },
+      kLongStreamRounds);
+  double speedup = bytewise_s / fast_s;
+  std::printf("  lease frame vs bytewise %8.2f us   bytewise %8.2f us   %6.2fx\n",
+              fast_s / 100 * 1e6, bytewise_s / 100 * 1e6, speedup);
+  artifact.add_scalar("crc32.speedup_vs_bytewise", speedup);
+}
+
 }  // namespace
 
 // Hand-rolled BENCHMARK_MAIN so the binary also emits a run artifact: the
@@ -559,5 +625,6 @@ int main(int argc, char** argv) {
   run_kernel_sweep(artifact);
   run_local_sgd_sweep(artifact);
   run_rng_sweep(artifact);
+  run_crc32_sweep(artifact);
   return 0;
 }

@@ -91,20 +91,20 @@ void ExecutorWorker::run() {
     if (status == RecvStatus::kClosed) return;     // leader gone: exit quietly
     switch (frame.type) {
       case MessageType::kTaskLease: {
-        TaskLeaseMsg lease = TaskLeaseMsg::deserialize(frame.payload);
+        TaskLeaseMsg::deserialize(frame.payload, lease_);
         TaskResultMsg result;
         {
           // Child span under the leader's dispatch span; the braces close it
           // before the result ships so its duration covers exactly the local
           // training work.
           obs::RpcSpanGuard span("rpc.lease_execute", "rpc",
-                                 obs::SpanContext{lease.trace_id, lease.parent_span_id});
-          result = service_.run_lease(lease);
+                                 obs::SpanContext{lease_.trace_id, lease_.parent_span_id});
+          result = service_.run_lease(lease_);
           result.trace_id = span.context().trace_id;
           result.span_id = span.context().span_id;
         }
-        result.lease_id = lease.lease_id;
-        result.task_id = lease.task_id;
+        result.lease_id = lease_.lease_id;
+        result.task_id = lease_.task_id;
         result.executor_id = executor_id_;
         if (!transport_.send(Frame{MessageType::kTaskResult, result.serialize()})) return;
         ++leases_served_;

@@ -65,6 +65,9 @@ class ExecutorWorker {
   std::uint64_t leases_served_ = 0;
   double heartbeat_interval_s_ = 0.5;
   obs::TelemetrySnapshotEncoder snapshot_encoder_;
+  /// The lease being served, decoded in place: a fleet's leases share one
+  /// shape, so after the first one a decode allocates nothing.
+  TaskLeaseMsg lease_;
 };
 
 }  // namespace flint::rpc

@@ -133,12 +133,19 @@ std::vector<char> encode(const M& msg) {
   return out.take();
 }
 
+// Every field is walked, and the reader resizes vectors and record
+// sequences in place, so decoding into a used message leaves nothing of it.
 template <typename M>
-M decode(const std::vector<char>& bytes, const char* what) {
+void decode_into(const std::vector<char>& bytes, const char* what, M& msg) {
   util::ByteReader in(bytes);
-  M msg;
   walk(in, msg);
   in.finish(what);
+}
+
+template <typename M>
+M decode(const std::vector<char>& bytes, const char* what) {
+  M msg;
+  decode_into(bytes, what, msg);
   return msg;
 }
 
@@ -164,8 +171,8 @@ HeartbeatMsg HeartbeatMsg::deserialize(const std::vector<char>& bytes) {
 
 std::vector<char> TaskLeaseMsg::serialize() const { return encode(*this); }
 
-TaskLeaseMsg TaskLeaseMsg::deserialize(const std::vector<char>& bytes) {
-  return decode<TaskLeaseMsg>(bytes, "TaskLease payload");
+void TaskLeaseMsg::deserialize(const std::vector<char>& bytes, TaskLeaseMsg& into) {
+  decode_into(bytes, "TaskLease payload", into);
 }
 
 void TaskResultMsg::encode_delta(std::vector<float> dense,

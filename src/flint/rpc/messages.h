@@ -112,7 +112,10 @@ struct TaskLeaseMsg {
   std::vector<ml::Example> examples;  ///< the client's local shard
 
   std::vector<char> serialize() const;
-  static TaskLeaseMsg deserialize(const std::vector<char>& bytes);
+  /// Decode into `into`, overwriting every field and reusing its vectors'
+  /// storage: an executor that keeps one message decodes a lease of a shape
+  /// it has seen without allocating. On CheckError `into` is partly written.
+  static void deserialize(const std::vector<char>& bytes, TaskLeaseMsg& into);
 };
 
 /// executor -> leader: the computed update for one lease.

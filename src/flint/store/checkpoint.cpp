@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -21,7 +22,9 @@ namespace {
 constexpr char kMagic[4] = {'F', 'C', 'K', 'P'};
 constexpr std::uint32_t kFormatVersion = 2;
 // magic + u32 version + u64 payload size + u32 payload CRC.
-constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
+constexpr std::size_t kPayloadSizeOffset = 4 + 4;
+constexpr std::size_t kPayloadCrcOffset = kPayloadSizeOffset + 8;
+constexpr std::size_t kHeaderSize = kPayloadCrcOffset + 4;
 
 std::int64_t seq_of(const fs::path& path) {
   // "ckpt_<seq>" -> seq, or -1 if the name doesn't match. 64-bit: a
@@ -159,16 +162,21 @@ void walk(IO& io, C& c) {
 }  // namespace
 
 std::vector<char> serialize_checkpoint(const SimCheckpoint& c) {
-  util::ByteWriter payload;
-  walk(payload, c);
+  // One buffer: the header goes first with its size and CRC zeroed, the
+  // payload is walked straight in behind it, and the two fields are filled
+  // in once the payload is known.
   util::ByteWriter out;
-  out.reserve(kHeaderSize + payload.size());
   out.magic(kMagic, "checkpoint");
   out.version(kFormatVersion, "checkpoint format");
-  out.field(static_cast<std::uint64_t>(payload.size()));
-  out.field(util::crc32(payload.data(), payload.size()));
-  out.raw(payload.data(), payload.size());
-  return out.take();
+  out.field(std::uint64_t{0});
+  out.field(std::uint32_t{0});
+  walk(out, c);
+  std::vector<char> bytes = out.take();
+  const std::uint64_t payload_size = bytes.size() - kHeaderSize;
+  const std::uint32_t crc = util::crc32(bytes.data() + kHeaderSize, payload_size);
+  std::memcpy(bytes.data() + kPayloadSizeOffset, &payload_size, sizeof(payload_size));
+  std::memcpy(bytes.data() + kPayloadCrcOffset, &crc, sizeof(crc));
+  return bytes;
 }
 
 SimCheckpoint deserialize_checkpoint(const std::vector<char>& bytes) {

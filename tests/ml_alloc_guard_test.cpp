@@ -2,7 +2,8 @@
 // replaces the global operator new with a counting one, so it stands alone:
 // after one warm-up batch has grown every workspace, a dense or ReLU layer's
 // forward + backward must not allocate, and a model's forward + backward may
-// allocate only the logits tensor it returns.
+// allocate only the logits tensor it returns. An executor's lease decode
+// into its kept message must not allocate once it has seen the lease shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include "flint/ml/batch.h"
 #include "flint/ml/layers.h"
 #include "flint/ml/model.h"
+#include "flint/rpc/messages.h"
 #include "flint/util/rng.h"
 
 namespace {
@@ -111,6 +113,27 @@ TEST(AllocGuard, ModelAllocatesOnlyTheLogits) {
     model.backward(d_logits);
   });
   EXPECT_LE(allocations, 1);
+}
+
+TEST(AllocGuard, WarmLeaseDecodeAllocatesNothing) {
+  util::Rng rng(3);
+  rpc::TaskLeaseMsg lease;  // fedavg_fleet's shape: 200 ads examples of 16 features
+  lease.params.resize(1089);
+  for (float& v : lease.params) v = static_cast<float>(rng.normal(0.0, 1.0));
+  lease.examples.resize(200);
+  for (Example& e : lease.examples) {
+    e.dense.resize(16);
+    for (float& v : e.dense) v = static_cast<float>(rng.normal(0.0, 1.0));
+    e.label = rng.bernoulli(0.3) ? 1.0f : 0.0f;
+  }
+  const std::vector<char> first = lease.serialize();
+  lease.client_id = 7;
+  for (float& v : lease.params) v *= 0.5f;
+  const std::vector<char> second = lease.serialize();
+  rpc::TaskLeaseMsg kept;
+  rpc::TaskLeaseMsg::deserialize(first, kept);
+  EXPECT_EQ(allocations_in([&] { rpc::TaskLeaseMsg::deserialize(second, kept); }), 0);
+  EXPECT_EQ(kept.serialize(), second);
 }
 
 }  // namespace

@@ -36,6 +36,14 @@ rpc::Frame heartbeat_frame() {
   return rpc::Frame{rpc::MessageType::kHeartbeat, beat.serialize()};
 }
 
+/// A lease decoded into a fresh message (the executor decodes into the one
+/// it keeps).
+rpc::TaskLeaseMsg decode_lease(const std::vector<char>& bytes) {
+  rpc::TaskLeaseMsg lease;
+  rpc::TaskLeaseMsg::deserialize(bytes, lease);
+  return lease;
+}
+
 // ------------------------------------------------------------- framing
 
 /// Strict whole-buffer decode through the stream decoder: `bytes` must hold
@@ -163,7 +171,7 @@ TEST(FrameCorruption, LeaseElementCountBeyondPayloadRejected) {
   // With no params and no examples the payload ends in two u64 counts.
   std::uint64_t claimed = std::uint64_t{1} << 26;
   std::memcpy(payload.data() + payload.size() - 16, &claimed, sizeof(claimed));
-  EXPECT_THROW(rpc::TaskLeaseMsg::deserialize(payload), util::CheckError);
+  EXPECT_THROW(decode_lease(payload), util::CheckError);
 }
 
 // ------------------------------------------------------------- messages
@@ -219,7 +227,7 @@ TEST(Messages, TaskLeaseRoundtripCarriesCompleteInputs) {
   ex.group = 3;
   lease.examples = {ex};
 
-  auto out = rpc::TaskLeaseMsg::deserialize(lease.serialize());
+  auto out = decode_lease(lease.serialize());
   EXPECT_EQ(out.lease_id, 11u);
   EXPECT_EQ(out.task_id, 12u);
   EXPECT_EQ(out.seed, 15u);
@@ -234,6 +242,76 @@ TEST(Messages, TaskLeaseRoundtripCarriesCompleteInputs) {
   EXPECT_EQ(out.examples[0].tokens, ex.tokens);
   EXPECT_FLOAT_EQ(out.examples[0].label, 1.0f);
   EXPECT_EQ(out.examples[0].group, 3u);
+}
+
+/// A lease with `examples` examples of `dense_dim` features, with or
+/// without tokens and DP; field values depend on `tag` so two leases differ
+/// everywhere.
+rpc::TaskLeaseMsg shaped_lease(std::uint64_t tag, std::size_t examples, std::size_t dense_dim,
+                               bool tokens, bool dp) {
+  rpc::TaskLeaseMsg lease;
+  lease.lease_id = tag;
+  lease.task_id = tag + 1;
+  lease.client_id = tag + 2;
+  lease.round = tag + 3;
+  lease.seed = tag * 31;
+  lease.dp_participants = dp ? tag + 4 : 0;
+  lease.lr = 0.01 * static_cast<double>(tag);
+  lease.epochs = static_cast<std::int32_t>(tag % 5) + 1;
+  lease.batch_size = tag + 8;
+  lease.loss_kind = static_cast<std::uint32_t>(tag % 2);
+  lease.clip_norm = 0.5 * static_cast<double>(tag);
+  lease.momentum = 0.125 * static_cast<double>(tag % 4);
+  lease.prox_mu = 0.01 * static_cast<double>(tag);
+  lease.has_dp = dp;
+  if (dp) {
+    lease.dp_clip_norm = 0.25 * static_cast<double>(tag);
+    lease.dp_noise_multiplier = 0.1 * static_cast<double>(tag);
+    lease.dp_delta = 1e-7 * static_cast<double>(tag);
+  }
+  lease.compression_kind = static_cast<std::uint32_t>(tag % 3);
+  lease.top_k_fraction = 0.05 * static_cast<double>(tag % 7 + 1);
+  lease.trace_id = tag * 1000;
+  lease.parent_span_id = tag * 1000 + 1;
+  lease.params.assign(dense_dim * 3 + tag % 4, 0.5f * static_cast<float>(tag));
+  lease.examples.resize(examples);
+  for (std::size_t i = 0; i < examples; ++i) {
+    ml::Example& e = lease.examples[i];
+    e.dense.assign(dense_dim, static_cast<float>(tag) + 0.25f * static_cast<float>(i));
+    if (tokens) e.tokens.assign(i % 4 + 1, static_cast<std::int32_t>(tag + i));
+    e.label = static_cast<float>((tag + i) % 2);
+    e.label2 = 0.5f * static_cast<float>(i);
+    e.group = static_cast<std::int32_t>(tag * 10 + i);
+  }
+  return lease;
+}
+
+TEST(Messages, TaskLeaseDecodeIntoUsedMessageEqualsFreshDecode) {
+  struct Shape {
+    std::size_t examples;
+    std::size_t dense_dim;
+    bool tokens;
+    bool dp;
+  };
+  // A is followed by every B: fewer and more examples than A, shorter and
+  // longer dense vectors, tokens and DP each on and off.
+  const Shape a_shapes[] = {{6, 8, true, true}, {6, 8, false, false}};
+  const Shape b_shapes[] = {{2, 8, false, false}, {2, 4, true, true}, {11, 8, true, false},
+                            {11, 16, false, true}, {0, 8, false, false}, {6, 8, true, true}};
+  for (const Shape& a : a_shapes) {
+    for (const Shape& b : b_shapes) {
+      const auto a_bytes = shaped_lease(3, a.examples, a.dense_dim, a.tokens, a.dp).serialize();
+      const auto b_bytes = shaped_lease(9, b.examples, b.dense_dim, b.tokens, b.dp).serialize();
+      rpc::TaskLeaseMsg reused;
+      rpc::TaskLeaseMsg::deserialize(a_bytes, reused);
+      rpc::TaskLeaseMsg::deserialize(b_bytes, reused);
+      const rpc::TaskLeaseMsg fresh = decode_lease(b_bytes);
+      // Every field is on the wire, so equal encodings mean equal messages.
+      EXPECT_EQ(reused.serialize(), b_bytes)
+          << "B has " << b.examples << " examples, tokens " << b.tokens << ", dp " << b.dp;
+      EXPECT_EQ(fresh.serialize(), b_bytes);
+    }
+  }
 }
 
 TEST(Messages, TaskResultAndShutdownRoundtrip) {
@@ -366,7 +444,7 @@ TEST(Messages, LeaseAndResultCarryTraceIds) {
   lease.lease_id = 0xAAA;
   lease.trace_id = 0xAAA;
   lease.parent_span_id = 0xBBB;
-  auto lease_out = rpc::TaskLeaseMsg::deserialize(lease.serialize());
+  auto lease_out = decode_lease(lease.serialize());
   EXPECT_EQ(lease_out.trace_id, 0xAAAu);
   EXPECT_EQ(lease_out.parent_span_id, 0xBBBu);
 
@@ -758,7 +836,7 @@ class ScriptedTransport final : public rpc::Transport {
   bool send(const rpc::Frame& frame) override {
     if (frame.type == rpc::MessageType::kRegisterAck) registered_ = true;
     if (frame.type != rpc::MessageType::kTaskLease) return true;
-    rpc::TaskLeaseMsg lease = rpc::TaskLeaseMsg::deserialize(frame.payload);
+    rpc::TaskLeaseMsg lease = decode_lease(frame.payload);
     rpc::TaskResultMsg result;
     result.ok = true;
     result.lease_id = lease.lease_id;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "flint/util/check.h"
+#include "flint/util/crc32.h"
 #include "flint/util/csv.h"
 #include "flint/util/histogram.h"
 #include "flint/util/logging.h"
@@ -193,6 +197,58 @@ TEST(Logging, MacroBindsInUnbracedIf) {
   Logger::instance().set_level(LogLevel::kWarn);
   EXPECT_NE(captured.str().find("else branch"), std::string::npos);
   EXPECT_EQ(captured.str().find("not reached"), std::string::npos);
+}
+
+// -------------------------------------------------------------------- CRC-32
+
+/// The textbook bitwise CRC-32 (reflected 0xEDB88320), one bit at a time:
+/// the reference the table-driven util::crc32 must match exactly.
+std::uint32_t reference_crc32(const unsigned char* bytes, std::size_t size, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> pseudo_random_bytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = pseudo_random_bytes(257 + 8);
+  for (std::uint32_t seed : {0u, 0xCBF43926u, 0xFFFFFFFFu}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t n = 0; n <= 257; ++n) {
+        const unsigned char* p = bytes.data() + offset;
+        ASSERT_EQ(crc32(p, n, seed), reference_crc32(p, n, seed))
+            << "length " << n << ", offset " << offset << ", seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossEverySplit) {
+  const std::vector<unsigned char> bytes = pseudo_random_bytes(1024);
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, reference_crc32(bytes.data(), bytes.size(), 0));
+  for (std::size_t k = 0; k <= bytes.size(); ++k)
+    ASSERT_EQ(crc32(bytes.data() + k, bytes.size() - k, crc32(bytes.data(), k)), whole)
+        << "split at " << k;
 }
 
 }  // namespace

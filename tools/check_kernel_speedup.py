@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Gate the SIMD kernel win and the RNG floors of a BENCH_micro_kernels
+"""Gate the SIMD kernel win and the fixed floors of a BENCH_micro_kernels
 artifact: every `scalars.kernels.*.speedup_vs_scalar` leaf must meet the
-kernel floor (default 2.0x), and the util::Rng leaves must meet fixed floors
-against std::mt19937_64 — `rng.derive_speedup_vs_std` >= 3 (a derived stream
-plus 4 draws) and `rng.draw_ratio_vs_std` >= 0.9 (per-draw cost of a long
-stream).
+kernel floor (default 2.0x), and the ratio leaves measured against a
+reference in the same binary must meet fixed floors — util::Rng against
+std::mt19937_64, `rng.derive_speedup_vs_std` >= 3 (a derived stream plus 4
+draws) and `rng.draw_ratio_vs_std` >= 0.9 (per-draw cost of a long stream),
+and util::crc32 against a bytewise table loop on a lease frame,
+`crc32.speedup_vs_bytewise` >= 3.
 
 Usage:
   tools/check_kernel_speedup.py BENCH_micro_kernels.json [--min 2.0]
-                                [--gate all|kernels|rng]
+                                [--gate all|kernels|fixed]
 
 The artifact's `kernels.simd_active` scalar records whether the sweep ran a
 SIMD path; on a `--kernels=scalar` run every kernel speedup is ~1.0 by
 construction, so the kernel floor passes with a note instead of failing. The
-RNG floors have nothing to do with SIMD. They are set for a plain Release
+fixed floors have nothing to do with SIMD. They are set for a plain Release
 build: -march=native speeds up std::mt19937_64 seeding enough to push
 `rng.derive_speedup_vs_std` under 3, so CI gates `--gate kernels` on the
--march=native artifact and `--gate rng` on a plain Release one.
+-march=native artifact and `--gate fixed` on a plain Release one.
 Absolute GB/s / GFLOP/s / ns leaves are machine-dependent and deliberately
 not checked here — CI diffs them against bench/baselines/ with a loose prefix
 threshold via flint_compare, while this script owns the hard floors.
 
 Exit: 0 every floor met (kernel floor skipped on a scalar-pinned run),
-      1 a leaf below its floor (or the kernel / RNG leaves missing),
+      1 a leaf below its floor (or the kernel / fixed-floor leaves missing),
       2 IO/usage problem.
 """
 
@@ -31,14 +33,15 @@ import json
 import sys
 
 SUFFIX = ".speedup_vs_scalar"
-# Fixed floors for the util::Rng leaves (ratios against std::mt19937_64 in
-# the same binary, so they transfer across machines).
-RNG_FLOORS = {"rng.derive_speedup_vs_std": 3.0, "rng.draw_ratio_vs_std": 0.9}
+# Fixed floors for leaves that are ratios against a reference in the same
+# binary (std::mt19937_64, a bytewise CRC-32), so they transfer across machines.
+FIXED_FLOORS = {"rng.derive_speedup_vs_std": 3.0, "rng.draw_ratio_vs_std": 0.9,
+                "crc32.speedup_vs_bytewise": 3.0}
 
 
-def check_rng(scalars: dict) -> list[str]:
+def check_fixed(scalars: dict) -> list[str]:
     failures = []
-    for name, floor in RNG_FLOORS.items():
+    for name, floor in FIXED_FLOORS.items():
         if name not in scalars:
             print(f"  {name:<26} missing  BELOW {floor}x")
             failures.append(name)
@@ -55,7 +58,7 @@ def main() -> int:
     ap.add_argument("artifact", help="BENCH_micro_kernels.json path")
     ap.add_argument("--min", type=float, default=2.0,
                     help="minimum required speedup (default: %(default)s)")
-    ap.add_argument("--gate", choices=("all", "kernels", "rng"), default="all",
+    ap.add_argument("--gate", choices=("all", "kernels", "fixed"), default="all",
                     help="which floors to check (default: %(default)s)")
     args = ap.parse_args()
 
@@ -67,11 +70,11 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    failures = check_rng(scalars) if args.gate != "kernels" else []
+    failures = check_fixed(scalars) if args.gate != "kernels" else []
     if failures:
-        print(f"check_kernel_speedup: util::Rng below its floor: {', '.join(failures)}",
+        print(f"check_kernel_speedup: below a fixed floor: {', '.join(failures)}",
               file=sys.stderr)
-    if args.gate == "rng":
+    if args.gate == "fixed":
         return 1 if failures else 0
 
     if scalars.get("kernels.simd_active", 1.0) == 0.0:
