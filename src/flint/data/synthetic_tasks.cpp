@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <future>
 #include <map>
 
 #include "flint/data/proxy_generator.h"
@@ -232,15 +231,16 @@ double FederatedTask::evaluate(ml::Model& model) const {
 namespace {
 
 // Run `shard(i)` for i in [0, shards): inline when `pool` is null, fanned
-// across the pool otherwise. Shard boundaries are the caller's; they must not
-// depend on the pool size or the evaluation stops being thread-invariant.
+// across the pool otherwise (the joining thread runs any shard no worker has
+// started). Shard boundaries are the caller's; they must not depend on the
+// pool size or the evaluation stops being thread-invariant.
 void run_shards(util::ThreadPool* pool, std::size_t shards,
                 const std::function<void(std::size_t)>& shard) {
   if (pool == nullptr) {
     for (std::size_t i = 0; i < shards; ++i) shard(i);
     return;
   }
-  std::vector<std::future<void>> pending;
+  std::vector<util::TaskHandle<void>> pending;
   pending.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
     pending.push_back(pool->submit([&shard, i] { shard(i); }));
@@ -278,10 +278,11 @@ double evaluate_examples(ml::Model& model, const std::vector<ml::Example>& examp
       std::size_t end = std::min(ordered.size(), begin + kGroupsPerShard);
       double sum = 0.0;
       std::vector<float> scores, labels;
+      ml::Batch batch;
       for (std::size_t g = begin; g < end; ++g) {
         const auto& members = *ordered[g];
-        ml::Batch batch = ml::Batch::from_examples(members, dense_dim);
-        ml::Tensor logits = m.forward(batch);
+        batch.assign(members, dense_dim);
+        const ml::Tensor& logits = m.forward(batch);
         scores.clear();
         labels.clear();
         for (std::size_t j = 0; j < members.size(); ++j) {
@@ -309,11 +310,12 @@ double evaluate_examples(ml::Model& model, const std::vector<ml::Example>& examp
     std::unique_ptr<ml::Model> owned = replica();
     ml::Model& m = owned != nullptr ? *owned : model;
     std::size_t shard_end = std::min(examples.size(), (i + 1) * kShardSpan);
+    ml::Batch batch;
     for (std::size_t start = i * kShardSpan; start < shard_end; start += kBatch) {
       std::size_t end = std::min(shard_end, start + kBatch);
       std::span<const ml::Example> slice(&examples[start], end - start);
-      ml::Batch batch = ml::Batch::from_examples(slice, dense_dim);
-      ml::Tensor logits = m.forward(batch);
+      batch.assign(slice, dense_dim);
+      const ml::Tensor& logits = m.forward(batch);
       for (std::size_t j = 0; j < slice.size(); ++j) {
         scores[start + j] = ml::stable_sigmoid(logits.at(j, 0));
         labels[start + j] = slice[j].label;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <future>
 #include <queue>
 #include <vector>
 
@@ -99,9 +98,13 @@ class ChunkedSpillSessionStream : public SessionStream {
     for (auto& run : runs) run.reserve(reserve);
 
     // Declared after the runs, so unwinding joins the workers before the runs
-    // are freed. One pool serves every chunk.
-    util::ThreadPool pool(workers);
-    std::vector<std::future<void>> done;
+    // are freed. One pool serves every chunk. This thread generates too: it
+    // joins the last sub-range first, which the pool (handing tasks out in
+    // order) has not started, and so runs it itself (help on join). The pool
+    // therefore has one worker fewer than there are sub-ranges, and exactly
+    // `workers` threads generate.
+    util::ThreadPool pool(std::max<std::size_t>(workers - 1, 1));
+    std::vector<util::TaskHandle<void>> done;
     for (std::size_t begin = 0; begin < clients_; begin += per_chunk) {
       const std::size_t n = std::min(clients_ - begin, per_chunk);
       done.clear();
@@ -114,9 +117,9 @@ class ChunkedSpillSessionStream : public SessionStream {
           std::sort(run.begin(), run.end(), session_order);
         }));
       }
-      // Every worker finishes before the first error (by worker index) is
+      // Every sub-range finishes before the first error (by worker index) is
       // rethrown, so no worker outlives a failed chunk.
-      for (auto& f : done) f.wait();
+      for (auto it = done.rbegin(); it != done.rend(); ++it) it->wait();
       for (auto& f : done) f.get();
       write_chunk(runs);
     }

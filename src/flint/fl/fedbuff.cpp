@@ -1,7 +1,6 @@
 #include "flint/fl/fedbuff.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <memory>
 #include <unordered_set>
@@ -95,7 +94,7 @@ void fill_section(FedBuffState& s, store::SimCheckpoint& ckpt) {
   fb.next_stamp = s.next_stamp;
   fb.in_flight.reserve(s.in_flight.size());
   for (const auto& [id, task] : s.in_flight) {
-    // Join a still-running worker now: the update is a pure function of the
+    // Join a still-pending update now: it is a pure function of the
     // dispatch-time snapshot, so materializing it early cannot change it —
     // the completion handler will simply find it already joined.
     if (task->pending.valid()) task->update = task->pending.get();
@@ -159,9 +158,9 @@ void on_task_end(FedBuffState& s, InFlight& task) {
   sim::TaskOutcome outcome = sim::TaskOutcome::kInterrupted;
   bool buffer_full = false;
   if (!task.interrupted) {
-    // Join the worker if the update is still in flight — also for updates
-    // about to be discarded as stale, so no task outlives its completion
-    // event. Completions run in virtual-time order, independent of thread
+    // Join the update if it is still pending (training it here if no worker
+    // has started it) — also for updates about to be discarded as stale, so
+    // no task outlives its completion event. Completions run in virtual-time order, independent of thread
     // count, so the accumulator sees the same sequence as the serial path.
     if (task.pending.valid()) task.update = task.pending.get();
     // Staleness bound: a task can never have trained on a model version the

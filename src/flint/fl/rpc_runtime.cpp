@@ -55,17 +55,15 @@ RpcRuntime::RpcRuntime(const RpcRuntimeConfig& config, const RunInputs& inputs)
     for (std::size_t i = 0; i < config_.executors; ++i) {
       auto [leader_end, worker_end] = rpc::LoopbackTransport::make_pair();
       std::string name = "loopback-" + std::to_string(i);
-      // shared_ptr: the submit closure must be copyable to sit in the pool's
-      // std::function queue.
-      std::shared_ptr<rpc::Transport> endpoint = std::move(worker_end);
       loopback_workers_.push_back(
-          loopback_pool_->submit([endpoint, name = std::move(name)] {
+          loopback_pool_->submit([endpoint = std::move(worker_end), name = std::move(name)] {
             LeaseTrainService service;
             rpc::ExecutorWorker worker(*endpoint, service, name);
             worker.run();
           }));
       // Register after the worker is queued: the handshake blocks until the
-      // worker answers, and pool workers pick tasks up immediately.
+      // worker answers, so a pool worker has claimed the task by the time
+      // registration returns, and the destructor's join only waits for it.
       leader_->add_transport(std::move(leader_end));
     }
     return;

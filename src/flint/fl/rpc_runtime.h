@@ -75,7 +75,7 @@ class RpcRuntime {
   RpcRuntimeConfig config_;
   std::unique_ptr<rpc::Leader> leader_;
   std::unique_ptr<util::ThreadPool> loopback_pool_;
-  std::vector<std::future<void>> loopback_workers_;
+  std::vector<util::TaskHandle<void>> loopback_workers_;
   std::vector<std::unique_ptr<rpc::SpawnedProcess>> processes_;
 };
 

@@ -32,13 +32,14 @@ double LocalTrainer::train_classification(std::span<const ml::Example> data,
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (std::size_t start = 0; start < data.size(); start += config.batch_size) {
       std::size_t end = std::min(data.size(), start + config.batch_size);
-      ml::Batch batch = ml::Batch::from_examples(data.subspan(start, end - start), dense_dim_);
-      ml::Tensor logits = model_->forward(batch);
-      ml::LossResult loss = model_->heads() == 1
-                                ? ml::bce_with_logits(logits, batch.labels)
-                                : ml::multitask_bce(logits, {batch.labels, batch.labels2});
-      step(params, loss.d_logits, config, opt);
-      total_loss += loss.loss;
+      batch_.assign(data.subspan(start, end - start), dense_dim_);
+      const ml::Tensor& logits = model_->forward(batch_);
+      if (model_->heads() == 1)
+        ml::bce_with_logits(logits, batch_.labels, loss_);
+      else
+        loss_ = ml::multitask_bce(logits, {batch_.labels, batch_.labels2});
+      step(params, loss_.d_logits, config, opt);
+      total_loss += loss_.loss;
       ++steps;
     }
   }
@@ -79,9 +80,9 @@ double LocalTrainer::train_ranking(std::span<const ml::Example> data,
     for (const GroupSpan& g : groups) {
       if (g.size < 2) continue;
       std::span<const ml::Example> members = grouped.subspan(g.begin, g.size);
-      ml::Batch batch = ml::Batch::from_examples(members, dense_dim_);
-      ml::Tensor logits = model_->forward(batch);
-      ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch.labels);
+      batch_.assign(members, dense_dim_);
+      const ml::Tensor& logits = model_->forward(batch_);
+      ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch_.labels);
       step(params, loss.d_logits, config, opt);
       total_loss += loss.loss;
       ++steps;
@@ -113,7 +114,7 @@ LocalTrainResult LocalTrainer::train(std::span<const ml::Example> data,
   model_->set_flat_parameters(global_params);
   if (config.prox_mu > 0.0) prox_anchor_.assign(global_params.begin(), global_params.end());
   ml::SgdOptimizer opt(config.momentum, 0.0);
-  const std::vector<ml::Parameter*> params = model_->parameters();
+  const std::vector<ml::Parameter*>& params = model_->parameters();
 
   double mean_loss = (config.loss == data::LossKind::kPairwiseRanking)
                          ? train_ranking(data, params, config, opt)

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "flint/data/synthetic_tasks.h"
+#include "flint/ml/loss.h"
 #include "flint/ml/model.h"
 #include "flint/ml/optimizer.h"
 
@@ -49,7 +50,7 @@ class LocalTrainer {
   ml::Model& model() { return *model_; }
 
  private:
-  // `params` is model_->parameters(), fetched once per train() call.
+  // `params` is model_->parameters().
   double train_classification(std::span<const ml::Example> data,
                               const std::vector<ml::Parameter*>& params,
                               const LocalTrainConfig& config, ml::SgdOptimizer& opt);
@@ -66,6 +67,10 @@ class LocalTrainer {
   std::unique_ptr<ml::Model> model_;
   std::size_t dense_dim_;
   std::vector<float> prox_anchor_;  ///< global params for the current call
+  // Per-step scratch, reused across steps and calls: once warm, a
+  // classification step of a single-head model allocates nothing.
+  ml::Batch batch_;
+  ml::LossResult loss_;
   // Ranking scratch, reused across train() calls so repeat clients don't
   // re-pay the allocations (capacity persists; contents are per-call).
   std::vector<std::size_t> ranking_order_;

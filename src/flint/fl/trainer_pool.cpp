@@ -83,10 +83,10 @@ PendingUpdate PendingUpdate::ready(ClientUpdate update) {
   return p;
 }
 
-PendingUpdate PendingUpdate::in_flight(std::future<ClientUpdate> future) {
+PendingUpdate PendingUpdate::in_flight(util::TaskHandle<ClientUpdate> task) {
   PendingUpdate p;
-  p.kind_ = Kind::kFuture;
-  p.future_ = std::move(future);
+  p.kind_ = Kind::kPool;
+  p.task_ = std::move(task);
   return p;
 }
 
@@ -105,8 +105,8 @@ ClientUpdate PendingUpdate::get() {
   switch (kind) {
     case Kind::kReady:
       return std::move(ready_);
-    case Kind::kFuture:
-      return future_.get();
+    case Kind::kPool:
+      return task_.get();
     case Kind::kRemote: {
       rpc::TaskResultMsg result = leader_->wait(lease_id_);
       ClientUpdate update;
@@ -159,8 +159,10 @@ PendingUpdate TrainerPool::submit_update(
   }
   if (pool_ != nullptr) {
     // Pool task: `params` (kept alive by the caller or `params_keepalive`)
-    // is read when the worker runs, which is semantically identical — the
+    // is read when the task runs — on a worker, or on the joining thread if
+    // no worker got to it first — which is semantically identical: the
     // runners never mutate params while updates are in flight against it.
+    // trainer() is resolved by whichever thread runs the task.
     auto keepalive = std::move(params_keepalive);
     return PendingUpdate::in_flight(
         pool_->submit([this, &inputs, data, params, keepalive, local, task_id,

@@ -8,19 +8,27 @@
 //
 // Determinism contract: every simulated task draws its randomness from
 // counter-based streams derived from (inputs.seed, task id) — never from a
-// shared Rng — and the runners join futures / reduce updates in fixed task
-// order. Together those make the run a pure function of the inputs: at any
+// shared Rng — trains a replica that set_flat_parameters fully resets, and
+// the runners join pending updates / reduce them in fixed task order.
+// Together those make the run a pure function of the inputs: at any
 // `threads` value the results are bit-identical, only wall time changes.
 //
+// Help on join (util/thread_pool.h): joining an update that no worker has
+// started trains it right there, on the joining simulation thread with
+// replica 0, exactly as the serial path does. FedBuff mostly has one task in
+// flight, so most of its updates train that way, with no wake-up of a
+// worker and no hand-back. fl.parallel_train_batches counts only the
+// updates a pool worker ran.
+//
 // Concurrency contract: TrainerPool itself holds no mutex. Each trainer
-// replica is owned by exactly one worker thread (trainer_for indexes by
-// ThreadPool::worker_index()), so replicas are never shared; the only
+// replica is owned by exactly one thread (trainer() indexes by
+// ThreadPool::worker_index(); every off-pool thread maps to replica 0, and
+// only the simulation thread joins), so replicas are never shared; the only
 // cross-thread state lives inside util::ThreadPool, whose members carry
 // thread-safety capabilities (see util/thread_annotations.h).
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -72,32 +80,33 @@ ClientUpdate compute_client_update(LocalTrainer& trainer, const RunInputs& input
                                    const LocalTrainConfig& local, std::uint64_t task_id,
                                    std::size_t dp_participants);
 
-/// A client update that may be ready now (serial path), in flight on a pool
-/// worker, or leased to a remote executor. One-shot: get() consumes it
-/// (valid() turns false), and the runners call get() in fixed submission
-/// order, which is what imposes the deterministic reduction order on every
-/// execution mode.
+/// A client update that may be ready now (serial path), queued on the pool
+/// (a worker or the joiner trains it), or leased to a remote executor.
+/// One-shot: get() consumes it (valid() turns false), and the runners call
+/// get() in fixed submission order, which is what imposes the deterministic
+/// reduction order on every execution mode.
 class PendingUpdate {
  public:
   PendingUpdate() = default;
 
   static PendingUpdate ready(ClientUpdate update);
-  static PendingUpdate in_flight(std::future<ClientUpdate> future);
+  static PendingUpdate in_flight(util::TaskHandle<ClientUpdate> task);
   static PendingUpdate remote(rpc::Leader* leader, std::uint64_t lease_id);
 
   /// True until get() consumes the update.
   bool valid() const { return kind_ != Kind::kInvalid; }
 
-  /// Block until the update is available and return it (joins the future /
-  /// waits on the rpc lease). Requires valid().
+  /// Block until the update is available and return it (joins the pool task,
+  /// training it here if no worker has started it / waits on the rpc lease).
+  /// Requires valid().
   ClientUpdate get();
 
  private:
-  enum class Kind { kInvalid, kReady, kFuture, kRemote };
+  enum class Kind { kInvalid, kReady, kPool, kRemote };
 
   Kind kind_ = Kind::kInvalid;
   ClientUpdate ready_;
-  std::future<ClientUpdate> future_;
+  util::TaskHandle<ClientUpdate> task_;
   rpc::Leader* leader_ = nullptr;
   std::uint64_t lease_id_ = 0;
 };
@@ -116,8 +125,8 @@ class TrainerPool {
 
   /// The LocalTrainer replica owned by the calling thread: pool workers get
   /// their own slot, every off-pool thread shares slot 0 (the runners only
-  /// ever train from the simulation thread or pool workers). Requires a
-  /// model-full run.
+  /// ever train, or join, from the simulation thread or pool workers).
+  /// Requires a model-full run.
   LocalTrainer& trainer();
 
   /// Submit one client-update computation on whichever execution mode the

@@ -3,6 +3,7 @@
 // ids (consumed by embedding or hashing front-ends), and labels.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -30,26 +31,34 @@ struct Batch {
 
   std::size_t size() const { return labels.size(); }
 
-  /// Build a batch; every example's dense vector must have length dense_dim
-  /// (use 0 for models with no dense features).
-  static Batch from_examples(std::span<const Example> examples, std::size_t dense_dim) {
-    Batch b;
-    b.dense = Tensor(examples.size(), dense_dim == 0 ? 1 : dense_dim);
-    if (dense_dim == 0) b.dense.zero();
-    b.tokens.reserve(examples.size());
-    b.labels.reserve(examples.size());
-    b.labels2.reserve(examples.size());
-    for (std::size_t i = 0; i < examples.size(); ++i) {
+  /// Refill this batch from `examples`; every example's dense vector must
+  /// have length dense_dim (use 0 for models with no dense features). Reuses
+  /// the batch's capacity, so a kept batch that has held this many examples
+  /// (with token lists this long) allocates nothing.
+  void assign(std::span<const Example> examples, std::size_t dense_dim) {
+    const std::size_t n = examples.size();
+    dense.resize(n, dense_dim == 0 ? 1 : dense_dim);
+    if (dense_dim == 0) dense.zero();
+    tokens.resize(n);
+    labels.resize(n);
+    labels2.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
       const Example& e = examples[i];
       if (dense_dim > 0) {
         FLINT_CHECK_MSG(e.dense.size() == dense_dim,
                         "example dense dim " << e.dense.size() << " != batch dim " << dense_dim);
-        for (std::size_t j = 0; j < dense_dim; ++j) b.dense.at(i, j) = e.dense[j];
+        std::copy(e.dense.begin(), e.dense.end(), dense.row(i).begin());
       }
-      b.tokens.push_back(e.tokens);
-      b.labels.push_back(e.label);
-      b.labels2.push_back(e.label2);
+      tokens[i].assign(e.tokens.begin(), e.tokens.end());
+      labels[i] = e.label;
+      labels2[i] = e.label2;
     }
+  }
+
+  /// A fresh batch built by assign().
+  static Batch from_examples(std::span<const Example> examples, std::size_t dense_dim) {
+    Batch b;
+    b.assign(examples, dense_dim);
     return b;
   }
 };

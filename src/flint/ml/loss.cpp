@@ -25,22 +25,26 @@ double softplus(double x) {
 }  // namespace
 
 LossResult bce_with_logits(const Tensor& logits, const std::vector<float>& labels) {
+  LossResult r;
+  bce_with_logits(logits, labels, r);
+  return r;
+}
+
+void bce_with_logits(const Tensor& logits, const std::vector<float>& labels, LossResult& r) {
   FLINT_CHECK_MSG(logits.cols() == 1, "bce_with_logits expects [n,1] logits");
   FLINT_CHECK(logits.rows() == labels.size());
   FLINT_CHECK(!labels.empty());
-  LossResult r;
-  r.d_logits = Tensor(logits.rows(), 1);
+  r.d_logits.resize(logits.rows(), 1);  // every element is written below
   double total = 0.0;
   double inv_n = 1.0 / static_cast<double>(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    double x = logits.at(i, 0);
+    double x = logits[i];
     double y = labels[i];
     // loss = softplus(x) - y*x  (stable form of -y log p - (1-y) log(1-p))
     total += softplus(x) - y * x;
-    r.d_logits.at(i, 0) = static_cast<float>((stable_sigmoid(static_cast<float>(x)) - y) * inv_n);
+    r.d_logits[i] = static_cast<float>((stable_sigmoid(static_cast<float>(x)) - y) * inv_n);
   }
   r.loss = total * inv_n;
-  return r;
 }
 
 LossResult multitask_bce(const Tensor& logits,

@@ -21,6 +21,10 @@ float stable_sigmoid(float x);
 /// logits: [n, 1]; labels: n values in {0, 1} (soft labels allowed).
 LossResult bce_with_logits(const Tensor& logits, const std::vector<float>& labels);
 
+/// The same loss written into a kept result, reusing its gradient tensor's
+/// capacity: no allocation once `into` has held a batch this large.
+void bce_with_logits(const Tensor& logits, const std::vector<float>& labels, LossResult& into);
+
 /// Multi-task BCE: logits [n, heads]; column h is scored against labels_h.
 /// `head_weights` scales each task's contribution (defaults to uniform).
 LossResult multitask_bce(const Tensor& logits,

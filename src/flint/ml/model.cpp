@@ -68,6 +68,7 @@ FeedForwardModel::FeedForwardModel(FeedForwardConfig config) : config_(std::move
   }
   trunk_.push_back(
       std::make_unique<DenseLayer>(dim, config_.heads, input_grad || !trunk_.empty()));
+  collect_parameters();
 }
 
 FeedForwardModel::FeedForwardModel(const FeedForwardModel& other) : config_(other.config_) {
@@ -75,6 +76,15 @@ FeedForwardModel::FeedForwardModel(const FeedForwardModel& other) : config_(othe
   if (other.hashing_) hashing_ = std::make_unique<HashedBagLayer>(*other.hashing_);
   trunk_.reserve(other.trunk_.size());
   for (const auto& layer : other.trunk_) trunk_.push_back(layer->clone());
+  collect_parameters();
+}
+
+void FeedForwardModel::collect_parameters() {
+  params_.clear();
+  if (embedding_)
+    for (Parameter* p : embedding_->parameters()) params_.push_back(p);
+  for (auto& layer : trunk_)
+    for (Parameter* p : layer->parameters()) params_.push_back(p);
 }
 
 std::size_t FeedForwardModel::trunk_input_dim() const {
@@ -85,7 +95,7 @@ std::size_t FeedForwardModel::trunk_input_dim() const {
   return dim;
 }
 
-Tensor FeedForwardModel::forward(const Batch& batch) {
+const Tensor& FeedForwardModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   last_batch_size_ = n;
   const Tensor* activ = &batch.dense;
@@ -134,15 +144,6 @@ void FeedForwardModel::backward(const Tensor& d_logits) {
   // Hashing front end has no trainable parameters; gradient stops there.
 }
 
-std::vector<Parameter*> FeedForwardModel::parameters() {
-  std::vector<Parameter*> params;
-  if (embedding_)
-    for (Parameter* p : embedding_->parameters()) params.push_back(p);
-  for (auto& layer : trunk_)
-    for (Parameter* p : layer->parameters()) params.push_back(p);
-  return params;
-}
-
 std::unique_ptr<Model> FeedForwardModel::clone() const {
   return std::make_unique<FeedForwardModel>(*this);
 }
@@ -166,15 +167,23 @@ ConvTextModel::ConvTextModel(ConvTextConfig config)
     dim = width;
   }
   trunk_.push_back(std::make_unique<DenseLayer>(dim, 1));
+  collect_parameters();
 }
 
 ConvTextModel::ConvTextModel(const ConvTextModel& other)
     : config_(other.config_), embedding_(other.embedding_) {
   trunk_.reserve(other.trunk_.size());
   for (const auto& layer : other.trunk_) trunk_.push_back(layer->clone());
+  collect_parameters();
 }
 
-Tensor ConvTextModel::forward(const Batch& batch) {
+void ConvTextModel::collect_parameters() {
+  params_ = {&embedding_};
+  for (auto& layer : trunk_)
+    for (Parameter* p : layer->parameters()) params_.push_back(p);
+}
+
+const Tensor& ConvTextModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   // Pad/truncate token lists to seq_len; id 0 doubles as padding/OOV.
   last_padded_.resize(n);
@@ -210,13 +219,6 @@ void ConvTextModel::backward(const Tensor& d_logits) {
         gr[j] += g[p * config_.embed_dim + j];
     }
   }
-}
-
-std::vector<Parameter*> ConvTextModel::parameters() {
-  std::vector<Parameter*> params{&embedding_};
-  for (auto& layer : trunk_)
-    for (Parameter* p : layer->parameters()) params.push_back(p);
-  return params;
 }
 
 std::unique_ptr<Model> ConvTextModel::clone() const {

@@ -17,14 +17,17 @@ class Model {
  public:
   virtual ~Model() = default;
 
-  /// Logits [n, heads] for a batch; caches state for backward().
-  virtual Tensor forward(const Batch& batch) = 0;
+  /// Logits [n, heads] for a batch; caches state for backward(). The result
+  /// is the model's own workspace: it stays valid and unchanged until the
+  /// next forward(). Copy it to keep it longer.
+  virtual const Tensor& forward(const Batch& batch) = 0;
 
   /// Accumulate parameter gradients for the last forward().
   virtual void backward(const Tensor& d_logits) = 0;
 
-  /// All trainable parameters, in a stable order.
-  virtual std::vector<Parameter*> parameters() = 0;
+  /// All trainable parameters, in a stable order. The list is built when the
+  /// model is constructed and lives as long as the model.
+  virtual const std::vector<Parameter*>& parameters() = 0;
 
   /// Number of output heads (1 for single-task models).
   virtual std::size_t heads() const { return 1; }
@@ -79,9 +82,9 @@ class FeedForwardModel : public Model {
   FeedForwardModel(const FeedForwardModel& other);
   FeedForwardModel& operator=(const FeedForwardModel&) = delete;
 
-  Tensor forward(const Batch& batch) override;
+  const Tensor& forward(const Batch& batch) override;
   void backward(const Tensor& d_logits) override;
-  std::vector<Parameter*> parameters() override;
+  const std::vector<Parameter*>& parameters() override { return params_; }
   std::size_t heads() const override { return config_.heads; }
   std::unique_ptr<Model> clone() const override;
   void init(util::Rng& rng) override;
@@ -90,11 +93,13 @@ class FeedForwardModel : public Model {
 
  private:
   std::size_t trunk_input_dim() const;
+  void collect_parameters();
 
   FeedForwardConfig config_;
   std::unique_ptr<EmbeddingBagLayer> embedding_;  ///< kEmbedding only
   std::unique_ptr<HashedBagLayer> hashing_;       ///< kHashing only
   std::vector<std::unique_ptr<Layer>> trunk_;     ///< dense + relu stack + head
+  std::vector<Parameter*> params_;                ///< embedding table, then trunk
   Tensor trunk_input_;  ///< front-end output (| dense) fed to the trunk
   Tensor front_grad_;   ///< embedding slice of the trunk's input gradient
   std::size_t last_batch_size_ = 0;
@@ -118,18 +123,21 @@ class ConvTextModel : public Model {
   ConvTextModel(const ConvTextModel& other);
   ConvTextModel& operator=(const ConvTextModel&) = delete;
 
-  Tensor forward(const Batch& batch) override;
+  const Tensor& forward(const Batch& batch) override;
   void backward(const Tensor& d_logits) override;
-  std::vector<Parameter*> parameters() override;
+  const std::vector<Parameter*>& parameters() override { return params_; }
   std::unique_ptr<Model> clone() const override;
   void init(util::Rng& rng) override;
 
   const ConvTextConfig& config() const { return config_; }
 
  private:
+  void collect_parameters();
+
   ConvTextConfig config_;
   Parameter embedding_;  ///< [vocab, embed_dim]; positional lookup, not a bag
   std::vector<std::unique_ptr<Layer>> trunk_;
+  std::vector<Parameter*> params_;  ///< embedding table, then trunk
   Tensor trunk_input_;  ///< [n, seq_len * embed_dim] positional embeddings
   std::vector<std::vector<std::int32_t>> last_padded_;
 };

@@ -1,5 +1,7 @@
 #include "flint/rpc/frame.h"
 
+#include <utility>
+
 #include "flint/util/bytes.h"
 #include "flint/util/check.h"
 #include "flint/util/crc32.h"
@@ -43,9 +45,9 @@ const char* message_type_name(MessageType type) {
   return "Unknown";
 }
 
-std::vector<char> encode_frame(const Frame& frame) {
+void encode_frame(const Frame& frame, std::vector<char>& wire) {
   FLINT_CHECK_LE(frame.payload.size(), static_cast<std::size_t>(kMaxFramePayload));
-  util::ByteWriter out;
+  util::ByteWriter out(std::move(wire));
   out.reserve(kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes);
   const FrameHeader header{kFrameMagic, kProtocolVersion,
                            static_cast<std::uint16_t>(frame.type),
@@ -54,16 +56,16 @@ std::vector<char> encode_frame(const Frame& frame) {
   out.raw(frame.payload.data(), frame.payload.size());
   // CRC over everything after the magic: protocol, type, length, payload.
   out.field(util::crc32(out.data() + sizeof(std::uint32_t), out.size() - sizeof(std::uint32_t)));
-  return out.take();
+  wire = out.take();
 }
 
 void FrameDecoder::feed(const char* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
-std::optional<Frame> FrameDecoder::next() {
+bool FrameDecoder::next(Frame& out) {
   std::size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) return std::nullopt;
+  if (available < kFrameHeaderBytes) return false;
 
   // Header first, read in place: validate magic / protocol / type / length
   // before waiting for (or trusting) any payload byte.
@@ -83,7 +85,7 @@ std::optional<Frame> FrameDecoder::next() {
                                           << kMaxFramePayload << "-byte ceiling");
 
   if (in.remaining() < static_cast<std::size_t>(header.payload_len) + kFrameTrailerBytes)
-    return std::nullopt;
+    return false;
   const char* payload = in.raw(header.payload_len);
   const auto stored_crc = in.read<std::uint32_t>();
   std::uint32_t computed = util::crc32(buffer_.data() + consumed_ + sizeof(std::uint32_t),
@@ -94,12 +96,11 @@ std::optional<Frame> FrameDecoder::next() {
                                               << computed << std::dec
                                               << "): corrupt or torn frame");
 
-  Frame frame;
-  frame.type = static_cast<MessageType>(header.type);
-  frame.payload.assign(payload, payload + header.payload_len);
+  out.type = static_cast<MessageType>(header.type);
+  out.payload.assign(payload, payload + header.payload_len);
   consumed_ += kFrameHeaderBytes + header.payload_len + kFrameTrailerBytes;
   compact();
-  return frame;
+  return true;
 }
 
 void FrameDecoder::compact() {

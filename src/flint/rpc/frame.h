@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace flint::rpc {
@@ -50,8 +49,9 @@ struct Frame {
   std::vector<char> payload;
 };
 
-/// Encode a frame into wire bytes (header + payload + CRC).
-std::vector<char> encode_frame(const Frame& frame);
+/// Encode a frame into wire bytes (header + payload + CRC), replacing the
+/// contents of `out` and reusing its capacity.
+void encode_frame(const Frame& frame, std::vector<char>& out);
 
 /// Incremental decoder for stream transports: feed() arbitrary byte chunks,
 /// next() yields complete frames as they materialize. The magic, protocol
@@ -63,8 +63,10 @@ class FrameDecoder {
  public:
   void feed(const char* data, std::size_t size);
 
-  /// The next complete frame, or nullopt when more bytes are needed.
-  std::optional<Frame> next();
+  /// Decode the next complete frame into `out`, reusing its payload's
+  /// capacity, and return true; return false (leaving `out` untouched) when
+  /// more bytes are needed.
+  bool next(Frame& out);
 
   /// Bytes buffered but not yet consumed by next().
   std::size_t buffered() const { return buffer_.size() - consumed_; }

@@ -282,10 +282,9 @@ void Leader::pump(std::uint64_t awaited) {
   for (auto& [id, executor] : executors_) {
     if (!executor.alive) continue;
     for (;;) {
-      Frame frame;
-      RecvStatus status = executor.transport->recv(frame, 0.0);
+      RecvStatus status = executor.transport->recv(inbound_, 0.0);
       if (status == RecvStatus::kFrame) {
-        handle_frame(id, frame);
+        handle_frame(id, inbound_);
         continue;
       }
       if (status == RecvStatus::kClosed) lose_executor(id, "connection closed");
@@ -298,10 +297,9 @@ void Leader::pump(std::uint64_t awaited) {
   const LeaseState& lease = leases_.at(awaited);
   auto it = executors_.find(lease.executor);
   if (!lease.completed && it != executors_.end() && it->second.alive) {
-    Frame frame;
-    RecvStatus status = it->second.transport->recv(frame, kPumpSliceS);
+    RecvStatus status = it->second.transport->recv(inbound_, kPumpSliceS);
     if (status == RecvStatus::kFrame)
-      handle_frame(it->first, frame);
+      handle_frame(it->first, inbound_);
     else if (status == RecvStatus::kClosed)
       lose_executor(it->first, "connection closed");
   }
@@ -340,10 +338,10 @@ void Leader::collect_telemetry() {
     while (executor.alive && executor.heartbeats == before) {
       double remaining = deadline - now_s();
       if (remaining <= 0.0) return;
-      Frame frame;
-      RecvStatus status = executor.transport->recv(frame, std::min(remaining, kPumpSliceS));
+      RecvStatus status =
+          executor.transport->recv(inbound_, std::min(remaining, kPumpSliceS));
       if (status == RecvStatus::kFrame)
-        handle_frame(id, frame);
+        handle_frame(id, inbound_);
       else if (status == RecvStatus::kClosed)
         lose_executor(id, "connection closed");
     }

@@ -107,6 +107,9 @@ class Leader {
   std::uint64_t next_lease_id_ = 1;
   std::uint64_t rr_last_ = 0;  ///< executor id that got the previous dispatch
   bool shut_down_ = false;
+  /// The frame every pump receives into, kept so each decode reuses its
+  /// payload's capacity.
+  Frame inbound_;
   /// Folds heartbeat-carried executor snapshots into the ambient registry
   /// under `name{executor=N}` labels (DESIGN.md §15).
   obs::TelemetrySnapshotMerger telemetry_merger_;

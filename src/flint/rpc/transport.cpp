@@ -79,30 +79,30 @@ LoopbackTransport::LoopbackTransport(std::shared_ptr<Shared> shared, int side)
 LoopbackTransport::~LoopbackTransport() { close(); }
 
 bool LoopbackTransport::send(const Frame& frame) {
-  std::vector<char> bytes = encode_frame(frame);
+  encode_frame(frame, wire_);
   {
     util::MutexLock lock(shared_->mu);
     if (shared_->closed[1 - side_] || shared_->closed[side_]) return false;
     std::vector<char>& peer_queue = shared_->queue[1 - side_];
-    peer_queue.insert(peer_queue.end(), bytes.begin(), bytes.end());
+    peer_queue.insert(peer_queue.end(), wire_.begin(), wire_.end());
     shared_->cv.notify_all();
   }
-  obs::add_counter("rpc.bytes_sent", bytes.size());
+  obs::add_counter("rpc.bytes_sent", wire_.size());
   return true;
 }
 
 RecvStatus LoopbackTransport::recv(Frame& out, double timeout_s) {
   // Frames already buffered in the decoder win over new bytes and even over
   // a concurrent close — drain before reporting kClosed.
-  if (std::optional<Frame> frame = decoder_.next()) {
-    out = std::move(*frame);
-    return RecvStatus::kFrame;
-  }
+  if (decoder_.next(out)) return RecvStatus::kFrame;
   Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(timeout_s));
+  std::vector<char>& bytes = inbox_;
   for (;;) {
-    std::vector<char> bytes;
+    // The swap below hands the queue this endpoint's emptied inbox, so the
+    // two buffers trade places and both keep their capacity.
+    bytes.clear();
     bool closed = false;
     {
       util::MutexLock lock(shared_->mu);
@@ -123,10 +123,7 @@ RecvStatus LoopbackTransport::recv(Frame& out, double timeout_s) {
     if (!bytes.empty()) {
       obs::add_counter("rpc.bytes_received", bytes.size());
       decoder_.feed(bytes.data(), bytes.size());
-      if (std::optional<Frame> frame = decoder_.next()) {
-        out = std::move(*frame);
-        return RecvStatus::kFrame;
-      }
+      if (decoder_.next(out)) return RecvStatus::kFrame;
       continue;  // partial frame: wait for the rest
     }
     if (closed) return RecvStatus::kClosed;
@@ -151,15 +148,15 @@ SocketTransport::~SocketTransport() { close(); }
 
 bool SocketTransport::send(const Frame& frame) {
   if (fd_ < 0 || !flush_outbox()) return false;
-  std::vector<char> bytes = encode_frame(frame);
+  encode_frame(frame, wire_);
   std::size_t written = 0;
   // A frame goes straight to the wire only behind an empty outbox; otherwise
   // it queues whole, so frames leave in the order they were sent.
-  if (outbox_.empty() && !write_available(fd_, kind_, bytes.data(), bytes.size(), written))
+  if (outbox_.empty() && !write_available(fd_, kind_, wire_.data(), wire_.size(), written))
     return false;
-  outbox_.insert(outbox_.end(), bytes.begin() + static_cast<std::ptrdiff_t>(written),
-                 bytes.end());
-  obs::add_counter("rpc.bytes_sent", bytes.size());
+  outbox_.insert(outbox_.end(), wire_.begin() + static_cast<std::ptrdiff_t>(written),
+                 wire_.end());
+  obs::add_counter("rpc.bytes_sent", wire_.size());
   return true;
 }
 
@@ -175,10 +172,7 @@ bool SocketTransport::flush_outbox() {
 }
 
 RecvStatus SocketTransport::recv(Frame& out, double timeout_s) {
-  if (std::optional<Frame> frame = decoder_.next()) {
-    out = std::move(*frame);
-    return RecvStatus::kFrame;
-  }
+  if (decoder_.next(out)) return RecvStatus::kFrame;
   if (fd_ < 0) return RecvStatus::kClosed;
   Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -213,10 +207,7 @@ RecvStatus SocketTransport::recv(Frame& out, double timeout_s) {
     if (n == 0) return RecvStatus::kClosed;  // EOF; any partial frame is moot
     obs::add_counter("rpc.bytes_received", static_cast<std::uint64_t>(n));
     decoder_.feed(buf, static_cast<std::size_t>(n));
-    if (std::optional<Frame> frame = decoder_.next()) {
-      out = std::move(*frame);
-      return RecvStatus::kFrame;
-    }
+    if (decoder_.next(out)) return RecvStatus::kFrame;
   }
 }
 

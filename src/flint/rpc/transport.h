@@ -79,6 +79,8 @@ class LoopbackTransport final : public Transport {
   std::shared_ptr<Shared> shared_;
   int side_;              ///< 0 or 1: which end of the pipe this endpoint is
   FrameDecoder decoder_;  ///< touched only by this endpoint's receiving thread
+  std::vector<char> inbox_;  ///< bytes taken from the queue; receiving thread only
+  std::vector<char> wire_;   ///< the frame being sent, kept for its capacity
 };
 
 /// Stream-socket transport over a connected fd (AF_UNIX or AF_INET).
@@ -108,6 +110,7 @@ class SocketTransport final : public Transport {
   int fd_;
   const char* kind_;
   FrameDecoder decoder_;
+  std::vector<char> wire_;    ///< the frame being sent, kept for its capacity
   std::vector<char> outbox_;  ///< encoded bytes not yet accepted by the socket
 };
 

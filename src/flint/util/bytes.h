@@ -38,6 +38,7 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "flint/util/check.h"
@@ -67,6 +68,12 @@ concept RecordOf = std::same_as<std::remove_const_t<R>, T>;
 /// Encoding direction: appends fields to a byte vector.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Write into `buffer`'s storage from its start, reusing its capacity.
+  explicit ByteWriter(std::vector<char>&& buffer) : out_(std::move(buffer)) {
+    out_.resize(out_.capacity());
+  }
+
   void reserve(std::size_t n) {
     if (out_.size() - size_ < n) grow(n);
   }

@@ -38,12 +38,12 @@ std::size_t ThreadPool::hardware_threads() {
 
 std::size_t ThreadPool::worker_index() { return tls_worker_index; }
 
-void ThreadPool::enqueue(std::function<void()> fn) {
+void ThreadPool::enqueue(std::shared_ptr<detail::TaskState> task) {
   std::size_t depth;
   {
     MutexLock lock(mu_);
     FLINT_CHECK_MSG(!stop_, "submit on a stopping ThreadPool");
-    queue_.push_back(std::move(fn));
+    queue_.push_back(std::move(task));
     depth = queue_.size();
   }
   cv_.notify_one();
@@ -54,9 +54,10 @@ void ThreadPool::enqueue(std::function<void()> fn) {
 void ThreadPool::worker_loop(std::size_t index) {
   tls_worker_index = index;
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<detail::TaskState> task;
     std::size_t depth;
-    std::size_t busy;
+    std::size_t busy = 0;
+    bool claimed = false;
     {
       MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) cv_.wait(mu_);
@@ -64,14 +65,16 @@ void ThreadPool::worker_loop(std::size_t index) {
       task = std::move(queue_.front());
       queue_.pop_front();
       depth = queue_.size();
-      busy = ++busy_;
+      claimed = task->claim();
+      if (claimed) busy = ++busy_;
     }
     if (observer_.on_queue_depth) observer_.on_queue_depth(depth);
+    if (!claimed) continue;  // its joiner claimed it first
     if (observer_.on_busy_workers) observer_.on_busy_workers(busy);
     // flint-analyze: allow(nondet-source): wall-clock observability boundary —
     // per-worker busy seconds feed util.pool.* gauges, never simulated results.
     auto start = std::chrono::steady_clock::now();
-    task();
+    task->run();
     // flint-analyze: allow(nondet-source): same wall-clock gauge as above.
     double spent =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

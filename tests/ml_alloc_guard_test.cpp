@@ -1,18 +1,23 @@
 // Steady-state allocation guard for the local-SGD hot path. This binary
 // replaces the global operator new with a counting one, so it stands alone:
 // after one warm-up batch has grown every workspace, a dense or ReLU layer's
-// forward + backward must not allocate, and a model's forward + backward may
-// allocate only the logits tensor it returns. An executor's lease decode
-// into its kept message must not allocate once it has seen the lease shape.
+// forward + backward must not allocate, nor must a model's (the logits it
+// returns are its own workspace), and a warm LocalTrainer::train allocates
+// only the delta it returns. An executor's lease decode into its kept
+// message must not allocate once it has seen the lease shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "flint/fl/trainer.h"
 #include "flint/ml/batch.h"
 #include "flint/ml/layers.h"
 #include "flint/ml/model.h"
+#include "flint/rpc/frame.h"
 #include "flint/rpc/messages.h"
 #include "flint/util/rng.h"
 
@@ -109,10 +114,39 @@ TEST(AllocGuard, ModelAllocatesOnlyTheLogits) {
   model.forward(batch);
   model.backward(d_logits);
   const long allocations = allocations_in([&] {
-    Tensor logits = model.forward(batch);
+    const Tensor& logits = model.forward(batch);
+    EXPECT_EQ(logits.rows(), 16u);
     model.backward(d_logits);
   });
-  EXPECT_LE(allocations, 1);
+  EXPECT_EQ(allocations, 0);
+}
+
+std::vector<Example> ads_client(std::size_t n, util::Rng& rng) {
+  std::vector<Example> examples(n);
+  for (Example& e : examples) {
+    e.dense.resize(16);
+    for (float& v : e.dense) v = static_cast<float>(rng.normal(0.0, 1.0));
+    e.label = rng.bernoulli(0.3) ? 1.0f : 0.0f;
+  }
+  return examples;
+}
+
+TEST(AllocGuard, WarmLocalTrainAllocatesOnlyTheDelta) {
+  util::Rng rng(4);
+  FeedForwardConfig cfg;  // the ads MLP again
+  cfg.dense_dim = 16;
+  cfg.hidden = {32, 16};
+  auto model = std::make_unique<FeedForwardModel>(cfg);
+  model->init(rng);
+  const std::vector<float> params = model->get_flat_parameters();
+  fl::LocalTrainer trainer(std::move(model), 16);
+  fl::LocalTrainConfig local;  // batch 16, plain SGD
+  const std::vector<Example> big = ads_client(200, rng);
+  const std::vector<Example> small = ads_client(37, rng);  // ends in a batch of 5
+  trainer.train(big, params, local);
+  // One allocation per call: the returned delta vector, freed on return.
+  EXPECT_EQ(allocations_in([&] { trainer.train(big, params, local); }), 1);
+  EXPECT_EQ(allocations_in([&] { trainer.train(small, params, local); }), 1);
 }
 
 TEST(AllocGuard, WarmLeaseDecodeAllocatesNothing) {
@@ -134,6 +168,26 @@ TEST(AllocGuard, WarmLeaseDecodeAllocatesNothing) {
   rpc::TaskLeaseMsg::deserialize(first, kept);
   EXPECT_EQ(allocations_in([&] { rpc::TaskLeaseMsg::deserialize(second, kept); }), 0);
   EXPECT_EQ(kept.serialize(), second);
+}
+
+TEST(AllocGuard, WarmFrameEncodeAndDecodeAllocateNothing) {
+  // A lease-sized frame through a kept send buffer, a kept decoder and a kept
+  // receive frame, as a transport and ExecutorWorker::run hold them.
+  const rpc::Frame lease{rpc::MessageType::kTaskLease, std::vector<char>(22953, 'a')};
+  std::vector<char> wire;
+  rpc::FrameDecoder decoder;
+  rpc::Frame kept;
+  bool decoded = true;
+  auto round_trip = [&] {
+    rpc::encode_frame(lease, wire);
+    decoder.feed(wire.data(), wire.size());
+    decoded = decoded && decoder.next(kept);
+  };
+  round_trip();
+  round_trip();
+  EXPECT_EQ(allocations_in(round_trip), 0);
+  EXPECT_TRUE(decoded);
+  EXPECT_EQ(kept.payload, lease.payload);
 }
 
 }  // namespace

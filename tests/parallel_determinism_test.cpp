@@ -1,8 +1,9 @@
 // The parallel training runtime's core contract (DESIGN.md §11): every
 // simulated quantity — final parameters, eval curve, system metrics — is
-// bit-identical at any --threads value. Reductions join futures in fixed
-// task order and per-task RNG streams are derived from (seed, task id), so
-// the thread count can only change wall time.
+// bit-identical at any --threads value. Reductions join pool tasks in fixed
+// task order, per-task RNG streams are derived from (seed, task id), and an
+// update computes the same on whichever thread runs it, so the thread count
+// can only change wall time.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -73,7 +74,7 @@ class Harness {
     return run_fedavg(cfg);
   }
 
-  RunResult run_buff(std::size_t threads, const Variant& v) {
+  RunResult run_buff(std::size_t threads, const Variant& v, std::size_t max_concurrency = 12) {
     util::Rng model_rng(5);
     auto model = task_.make_model(model_rng);
     auto trace = test::always_available(40, 1e7);
@@ -86,7 +87,7 @@ class Harness {
     cfg.inputs.eval_every_rounds = 2;
     cfg.inputs.seed = 9;
     cfg.buffer_size = 4;
-    cfg.max_concurrency = 12;
+    cfg.max_concurrency = max_concurrency;
     cfg.max_staleness = 50;
     apply_variant(cfg.inputs, v);
     return run_fedbuff(cfg);
@@ -114,6 +115,21 @@ TEST(ParallelDeterminism, FedBuffBitIdenticalAcrossThreadCounts) {
     EXPECT_GT(serial.rounds, 0u);
     for (std::size_t threads : {2u, 8u})
       expect_identical_runs(serial, h.run_buff(threads, v), v.name);
+  }
+}
+
+TEST(ParallelDeterminism, FedBuffOneInFlightBitIdenticalAcrossThreadCounts) {
+  // One task in flight: the simulation thread joins each update right after
+  // dispatching it, so with a pool it trains most of them itself (help on
+  // join, on the off-pool replica) while a worker may still race it for the
+  // claim. Neither may change a result.
+  Harness h;
+  for (const Variant& v : kVariants) {
+    RunResult serial = h.run_buff(1, v, /*max_concurrency=*/1);
+    EXPECT_FALSE(serial.final_parameters.empty());
+    EXPECT_GT(serial.rounds, 0u);
+    for (std::size_t threads : {2u, 8u})
+      expect_identical_runs(serial, h.run_buff(threads, v, /*max_concurrency=*/1), v.name);
   }
 }
 

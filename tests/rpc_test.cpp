@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,20 +45,27 @@ rpc::TaskLeaseMsg decode_lease(const std::vector<char>& bytes) {
 
 // ------------------------------------------------------------- framing
 
+/// The wire bytes of one frame, in a fresh buffer.
+std::vector<char> encode(const rpc::Frame& frame) {
+  std::vector<char> wire;
+  rpc::encode_frame(frame, wire);
+  return wire;
+}
+
 /// Strict whole-buffer decode through the stream decoder: `bytes` must hold
 /// exactly one valid frame, with nothing left over.
 rpc::Frame decode_frame(const std::vector<char>& bytes) {
   rpc::FrameDecoder decoder;
   decoder.feed(bytes.data(), bytes.size());
-  std::optional<rpc::Frame> frame = decoder.next();
-  FLINT_CHECK_MSG(frame.has_value(), "truncated frame");
+  rpc::Frame frame;
+  FLINT_CHECK_MSG(decoder.next(frame), "truncated frame");
   FLINT_CHECK_MSG(decoder.buffered() == 0, "trailing garbage after frame");
-  return std::move(*frame);
+  return frame;
 }
 
 TEST(Frame, EncodeDecodeRoundtrip) {
   rpc::Frame frame = heartbeat_frame();
-  std::vector<char> wire = rpc::encode_frame(frame);
+  std::vector<char> wire = encode(frame);
   EXPECT_EQ(wire.size(),
             rpc::kFrameHeaderBytes + frame.payload.size() + rpc::kFrameTrailerBytes);
   rpc::Frame decoded = decode_frame(wire);
@@ -69,65 +75,66 @@ TEST(Frame, EncodeDecodeRoundtrip) {
 
 TEST(Frame, EmptyPayloadRoundtrip) {
   rpc::Frame frame{rpc::MessageType::kShutdown, {}};
-  rpc::Frame decoded = decode_frame(rpc::encode_frame(frame));
+  rpc::Frame decoded = decode_frame(encode(frame));
   EXPECT_EQ(decoded.type, rpc::MessageType::kShutdown);
   EXPECT_TRUE(decoded.payload.empty());
 }
 
 TEST(FrameDecoder, ReassemblesFromSingleByteFeeds) {
   rpc::Frame frame = heartbeat_frame();
-  std::vector<char> wire = rpc::encode_frame(frame);
+  std::vector<char> wire = encode(frame);
   rpc::FrameDecoder decoder;
+  rpc::Frame decoded;
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    EXPECT_FALSE(decoder.next().has_value());
+    EXPECT_FALSE(decoder.next(decoded));
     decoder.feed(&wire[i], 1);
   }
-  auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->payload, frame.payload);
+  ASSERT_TRUE(decoder.next(decoded));
+  EXPECT_EQ(decoded.payload, frame.payload);
   EXPECT_EQ(decoder.buffered(), 0u);
 }
 
 TEST(FrameDecoder, YieldsBackToBackFrames) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   std::vector<char> twice = wire;
   twice.insert(twice.end(), wire.begin(), wire.end());
   rpc::FrameDecoder decoder;
   decoder.feed(twice.data(), twice.size());
-  EXPECT_TRUE(decoder.next().has_value());
-  EXPECT_TRUE(decoder.next().has_value());
-  EXPECT_FALSE(decoder.next().has_value());
+  rpc::Frame frame;
+  EXPECT_TRUE(decoder.next(frame));
+  EXPECT_TRUE(decoder.next(frame));
+  EXPECT_FALSE(decoder.next(frame));
 }
 
 // The corruption matrix: every way a frame can be malformed must throw
 // CheckError before any payload byte is trusted (never garbage decode).
 
 TEST(FrameCorruption, TruncatedFrameRejected) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire.pop_back();  // torn mid-CRC
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, PayloadBitFlipFailsCrc) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire[rpc::kFrameHeaderBytes] ^= 0x01;
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, BadMagicRejected) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire[0] ^= 0x01;
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, WrongProtocolVersionRejected) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire[4] ^= 0x01;  // protocol u16 follows the magic
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
 
 TEST(FrameCorruption, UnknownMessageTypeRejected) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire[6] = 99;  // type u16 follows protocol
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
@@ -135,16 +142,17 @@ TEST(FrameCorruption, UnknownMessageTypeRejected) {
 TEST(FrameCorruption, OversizedLengthPrefixRejectedBeforeAllocation) {
   // A corrupt length prefix must be rejected the moment the header is
   // complete — no buffering of (or allocation for) a 4GB "payload".
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   std::uint32_t huge = rpc::kMaxFramePayload + 1;
   std::memcpy(wire.data() + 8, &huge, sizeof(huge));  // payload_len field
   rpc::FrameDecoder decoder;
-  EXPECT_THROW(decoder.feed(wire.data(), rpc::kFrameHeaderBytes); decoder.next(),
+  rpc::Frame frame;
+  EXPECT_THROW(decoder.feed(wire.data(), rpc::kFrameHeaderBytes); decoder.next(frame),
                util::CheckError);
 }
 
 TEST(FrameCorruption, TrailingGarbageRejectedByStrictDecode) {
-  std::vector<char> wire = rpc::encode_frame(heartbeat_frame());
+  std::vector<char> wire = encode(heartbeat_frame());
   wire.push_back('x');
   EXPECT_THROW(decode_frame(wire), util::CheckError);
 }
@@ -675,10 +683,10 @@ rpc::TaskLeaseMsg stub_lease(std::uint64_t task_id, std::uint64_t client_id) {
 }
 
 /// Queue a worker serving StubService over the peer end of a loopback pair.
-std::future<void> spawn_stub_worker(util::ThreadPool& pool,
-                                    std::shared_ptr<rpc::Transport> endpoint,
-                                    const std::string& name) {
-  return pool.submit([endpoint, name] {
+util::TaskHandle<void> spawn_stub_worker(util::ThreadPool& pool,
+                                         std::unique_ptr<rpc::Transport> endpoint,
+                                         const std::string& name) {
+  return pool.submit([endpoint = std::move(endpoint), name] {
     StubService service;
     rpc::ExecutorWorker worker(*endpoint, service, name);
     worker.run();
@@ -690,7 +698,7 @@ TEST(LeaderExecutor, ServesLeasesOverLoopback) {
   config.dense_dim = 3;
   rpc::Leader leader(config);
   util::ThreadPool pool(2);
-  std::vector<std::future<void>> workers;
+  std::vector<util::TaskHandle<void>> workers;
   for (int i = 0; i < 2; ++i) {
     auto [leader_end, worker_end] = rpc::LoopbackTransport::make_pair();
     workers.push_back(spawn_stub_worker(pool, std::move(worker_end),
@@ -730,8 +738,7 @@ TEST(LeaderExecutor, FailedLeaseSurfacesExecutorError) {
   rpc::Leader leader(rpc::LeaderConfig{});
   util::ThreadPool pool(1);
   auto [leader_end, worker_end] = rpc::LoopbackTransport::make_pair();
-  std::shared_ptr<rpc::Transport> endpoint = std::move(worker_end);
-  auto worker = pool.submit([endpoint] {
+  auto worker = pool.submit([endpoint = std::move(worker_end)] {
     FailingService service;
     rpc::ExecutorWorker w(*endpoint, service, "failing");
     w.run();
@@ -897,7 +904,7 @@ TEST(LeaderExecutor, BurstOfLargeLeasesOverUnixSocketCompletes) {
   std::string path = testing::TempDir() + "rpc_test_burst.sock";
   rpc::Leader leader(rpc::LeaderConfig{});
   leader.add_listener(rpc::Listener::listen_unix(path));
-  std::vector<std::future<void>> workers;
+  std::vector<util::TaskHandle<void>> workers;
   for (int i = 0; i < 2; ++i) {
     workers.push_back(pool.submit([path, i] {
       std::unique_ptr<rpc::Transport> transport = rpc::connect_unix(path);

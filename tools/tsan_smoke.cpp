@@ -1,5 +1,6 @@
 // Standalone ThreadSanitizer smoke: hammers CheckpointStore, the obs
-// MetricRegistry, and util::ThreadPool from several threads without pulling
+// MetricRegistry, and util::ThreadPool (including joiners racing workers for
+// the claim on each task) from several threads without pulling
 // in gtest or the full library. scripts/tsan_smoke.sh compiles this TU plus
 // the checkpoint, obs, and thread-pool TUs directly with -fsanitize=thread,
 // so the race check runs in seconds instead of requiring a full sanitizer
@@ -7,7 +8,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -77,15 +77,15 @@ int hammer_thread_pool() {
     submitters.reserve(kSubmitters);
     for (int t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&pool, &sum, t] {
-        std::vector<std::future<int>> futures;
-        futures.reserve(kTasksPerSubmitter);
+        std::vector<flint::util::TaskHandle<int>> tasks;
+        tasks.reserve(kTasksPerSubmitter);
         for (int i = 0; i < kTasksPerSubmitter; ++i) {
-          futures.push_back(pool.submit([t, i] {
+          tasks.push_back(pool.submit([t, i] {
             (void)flint::util::ThreadPool::worker_index();
             return t + i;
           }));
         }
-        for (auto& f : futures) sum.fetch_add(static_cast<std::uint64_t>(f.get()));
+        for (auto& task : tasks) sum.fetch_add(static_cast<std::uint64_t>(task.get()));
       });
     }
     for (auto& s : submitters) s.join();
@@ -111,6 +111,47 @@ int hammer_thread_pool() {
   return failures;
 }
 
+// Help-on-join hammer: joiners submit small batches and join them at once,
+// so a worker and the joiner race for the claim on nearly every task. Each
+// task writes plain (non-atomic) memory that its joiner reads after get():
+// TSan reports a race unless completion publishes those writes to the
+// joiner, whichever side ran the task. Every task must also run exactly once.
+int hammer_help_on_join() {
+  constexpr int kJoiners = 3;
+  constexpr int kBatches = 400;
+  constexpr int kBatch = 4;
+  int failures = 0;
+  std::atomic<int> lost{0};
+  std::vector<std::vector<int>> slots(kJoiners, std::vector<int>(kBatches * kBatch, 0));
+  {
+    flint::util::ThreadPool pool(2);
+    std::vector<std::thread> joiners;
+    joiners.reserve(kJoiners);
+    for (int j = 0; j < kJoiners; ++j) {
+      joiners.emplace_back([&pool, &slots, &lost, j] {
+        std::vector<int>& mine = slots[static_cast<std::size_t>(j)];
+        std::vector<flint::util::TaskHandle<void>> batch;
+        for (int b = 0; b < kBatches; ++b) {
+          batch.clear();
+          for (int k = 0; k < kBatch; ++k) {
+            int* slot = &mine[static_cast<std::size_t>(b * kBatch + k)];
+            batch.push_back(pool.submit([slot] { ++*slot; }));
+          }
+          for (auto& task : batch) task.get();
+          for (int k = 0; k < kBatch; ++k)
+            if (mine[static_cast<std::size_t>(b * kBatch + k)] != 1) lost.fetch_add(1);
+        }
+      });
+    }
+    for (auto& joiner : joiners) joiner.join();
+  }
+  if (lost.load() != 0) {
+    std::fprintf(stderr, "tsan_smoke: %d task(s) did not run exactly once\n", lost.load());
+    ++failures;
+  }
+  return failures;
+}
+
 }  // namespace
 
 int main() {
@@ -123,6 +164,7 @@ int main() {
   std::atomic<int> failures{0};
   failures.fetch_add(hammer_registry());
   failures.fetch_add(hammer_thread_pool());
+  failures.fetch_add(hammer_help_on_join());
 
   // Ambient telemetry so the checkpoint writers below also exercise the obs
   // cold recording path (checkpoint write latency/bytes) concurrently.
