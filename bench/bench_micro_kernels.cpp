@@ -141,11 +141,11 @@ BENCHMARK(BM_FeatureCache);
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i)
-      q.schedule(static_cast<double>((i * 7919) % 1000), [&fired] { ++fired; });
-    q.run();
-    benchmark::DoNotOptimize(fired);
+    std::uint64_t ended = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i)
+      q.schedule(static_cast<double>((i * 7919) % 1000), sim::EventKind::kTaskEnd, i);
+    while (std::optional<sim::Event> ev = q.pop()) ended += ev->task_id;
+    benchmark::DoNotOptimize(ended);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

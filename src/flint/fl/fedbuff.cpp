@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "flint/fl/run_core.h"
@@ -20,14 +21,13 @@ namespace {
 /// completion handler consumes it in virtual-time event order and therefore
 /// reduces deterministically).
 struct InFlight : StartedTask {
-  InFlight() = default;
   explicit InFlight(const StartedTask& started) : StartedTask(started) {}
-  std::uint64_t stamp = 0;  ///< FedBuffState::next_stamp at schedule time
+  std::uint64_t seq = 0;  ///< its task-end event's queue seq (the checkpoint stamp)
   ClientUpdate update;
   PendingUpdate pending;
 };
 
-/// Whole-run mutable state, shared by the event callbacks.
+/// Whole-run mutable state, shared by the event handlers.
 struct FedBuffState {
   explicit FedBuffState(const AsyncConfig& c)
       : config(&c),
@@ -45,23 +45,19 @@ struct FedBuffState {
   /// exists.
   std::shared_ptr<const std::vector<float>> params_snapshot;
   std::uint64_t version = 0;  ///< server model version (aggregations so far)
-  std::size_t running = 0;
   std::unordered_set<std::uint64_t> busy;
   double staleness_sum = 0.0;  ///< over the current buffer
   sim::VirtualTime round_start = 0.0;
-  bool pump_scheduled = false;
-  sim::VirtualTime pump_time = 0.0;  ///< when the scheduled pump retry fires
-  std::uint64_t pump_stamp = 0;      ///< its scheduling stamp
+  /// The latest pump wake scheduled (all zero before the first) and whether
+  /// it is still pending; at most one is. The checkpoint records the wake's
+  /// time and seq even after it fired, so both are kept.
+  sim::Event pump_wake{0.0, 0, sim::EventKind::kPumpWake, 0};
+  bool pump_pending = false;
   bool done = false;
   sim::VirtualTime last_aggregation_time = 0.0;
-  /// Scheduling stamp counter: every EventQueue::schedule() this runner makes
-  /// takes the next stamp, mirroring the queue's FIFO tie-break for same-time
-  /// events. Checkpointed per pending event so a resumed run can re-schedule
-  /// them in the original relative order (DESIGN.md §12).
-  std::uint64_t next_stamp = 0;
-  /// Pending completion events by task id; the checkpoint serializes these so
-  /// resume can rebuild the event queue.
-  std::map<std::uint64_t, std::shared_ptr<InFlight>> in_flight;
+  /// Tasks in flight by task id, the checkpoint's record order. Each has one
+  /// pending kTaskEnd event, whose handler extracts it.
+  std::map<std::uint64_t, InFlight> in_flight;
 
   // Telemetry handles for the per-task hot path (single-threaded pump).
   obs::CachedHistogram staleness_hist;
@@ -78,7 +74,8 @@ void refresh_snapshot(FedBuffState& s) {
 }
 
 /// The async-runner checkpoint section: the buffer, the pump and the
-/// in-flight tasks. RunCore fills the base fields.
+/// in-flight tasks. RunCore fills the base fields. Every stamp is a queue
+/// seq, so a resume restores the queue as it was (DESIGN.md §12).
 void fill_section(FedBuffState& s, store::SimCheckpoint& ckpt) {
   ckpt.has_fedbuff = true;
   store::CheckpointFedBuff& fb = ckpt.fedbuff;
@@ -88,34 +85,22 @@ void fill_section(FedBuffState& s, store::SimCheckpoint& ckpt) {
   fb.staleness_sum = s.staleness_sum;
   fb.round_start = s.round_start;
   fb.last_aggregation_time = s.last_aggregation_time;
-  fb.pump_scheduled = s.pump_scheduled;
-  fb.pump_time = s.pump_time;
-  fb.pump_stamp = s.pump_stamp;
-  fb.next_stamp = s.next_stamp;
+  fb.pump_scheduled = s.pump_pending;
+  fb.pump_time = s.pump_wake.time;
+  fb.pump_stamp = s.pump_wake.seq;
+  fb.next_stamp = s.core.leader.queue().next_seq();
   fb.in_flight.reserve(s.in_flight.size());
-  for (const auto& [id, task] : s.in_flight) {
+  for (auto& [id, task] : s.in_flight) {
     // Join a still-pending update now: it is a pure function of the
     // dispatch-time snapshot, so materializing it early cannot change it —
     // the completion handler will simply find it already joined.
-    if (task->pending.valid()) task->update = task->pending.get();
-    store::CheckpointInFlightTask rec;
-    rec.task_id = task->spec.task_id;
-    rec.client_id = task->spec.client_id;
-    rec.device_index = static_cast<std::uint64_t>(task->spec.device_index);
-    rec.model_version = task->spec.model_version;
-    rec.dispatch_time = task->spec.dispatch_time;
-    rec.compute_s = task->spec.compute_s;
-    rec.comm_s = task->spec.comm_s;
-    rec.examples = static_cast<std::uint64_t>(task->spec.examples);
-    rec.update_bytes = task->spec.update_bytes;
-    rec.spent_compute_s = task->spent_compute_s;
-    rec.window_end = task->window_end;
-    rec.finish_time = task->finish;
-    rec.interrupted = task->interrupted;
-    rec.stamp = task->stamp;
-    rec.update_weight = task->update.weight;
-    rec.update_delta = task->update.train.delta;
-    fb.in_flight.push_back(std::move(rec));
+    if (task.pending.valid()) task.update = task.pending.get();
+    const sim::TaskSpec& spec = task.spec;
+    fb.in_flight.push_back({spec.task_id, spec.client_id, spec.device_index, spec.model_version,
+                            spec.dispatch_time, spec.compute_s, spec.comm_s, spec.examples,
+                            spec.update_bytes, task.spent_compute_s, task.window_end, task.finish,
+                            task.interrupted, task.seq, task.update.weight,
+                            task.update.train.delta});
   }
 }
 
@@ -143,16 +128,17 @@ void aggregate(FedBuffState& s) {
   s.last_aggregation_time = now;
   if (s.version >= core.in.max_rounds || now >= core.in.max_virtual_s) s.done = true;
   FLINT_LOG_DEBUG << "fedbuff aggregation v=" << s.version << " t=" << now
-                  << " running=" << s.running;
+                  << " running=" << s.in_flight.size();
   core.close_round(s.version, start, now, aggregated, mean_staleness,
                    [&s](store::SimCheckpoint& ckpt) { fill_section(s, ckpt); });
 }
 
-void on_task_end(FedBuffState& s, InFlight& task) {
-  s.in_flight.erase(task.spec.task_id);
+void on_task_end(FedBuffState& s, std::uint64_t task_id) {
+  auto node = s.in_flight.extract(task_id);
+  FLINT_CHECK_MSG(!node.empty(), "task-end event for task " << task_id << ", not in flight");
+  InFlight& task = node.mapped();
   if (auto* g = s.in_flight_gauge.resolve("fl.tasks_in_flight"))
     g->set(static_cast<double>(s.in_flight.size()));
-  --s.running;
   s.busy.erase(task.spec.client_id);
 
   sim::TaskOutcome outcome = sim::TaskOutcome::kInterrupted;
@@ -210,14 +196,14 @@ void dispatch(FedBuffState& s, const sim::Arrival& arrival, std::size_t examples
   FLINT_TRACE_SPAN("fedbuff.dispatch", "fl");
   const RunInputs& in = s.core.in;
   sim::VirtualTime now = s.core.leader.queue().now();
-  auto task = std::make_shared<InFlight>(s.core.start_task(arrival, now, s.version, examples));
-  task->stamp = s.next_stamp++;
-  ++s.running;
+  StartedTask started = s.core.start_task(arrival, now, s.version, examples);
+  auto [it, inserted] = s.in_flight.try_emplace(started.spec.task_id, started);
+  FLINT_CHECK_MSG(inserted, "task id " << it->first << " dispatched twice");
+  InFlight& task = it->second;
   s.busy.insert(arrival.client_id);
-  s.in_flight[task->spec.task_id] = task;
   if (auto* g = s.in_flight_gauge.resolve("fl.tasks_in_flight"))
     g->set(static_cast<double>(s.in_flight.size()));
-  if (!task->interrupted && !in.model_free) {
+  if (!task.interrupted && !in.model_free) {
     // The client trains against the global parameters as of dispatch time;
     // computing the update from a dispatch-time snapshot is semantically
     // identical to computing it at completion. On the pool path the snapshot
@@ -230,23 +216,20 @@ void dispatch(FedBuffState& s, const sim::Arrival& arrival, std::size_t examples
     std::span<const float> param_view =
         snapshot != nullptr ? std::span<const float>(*snapshot)
                             : std::span<const float>(s.core.params);
-    task->pending = s.core.trainers.submit_update(in, client_data, param_view, local,
-                                                  task->spec.task_id, arrival.client_id,
-                                                  s.version, s.config->buffer_size, snapshot);
+    task.pending = s.core.trainers.submit_update(in, client_data, param_view, local,
+                                                 task.spec.task_id, arrival.client_id,
+                                                 s.version, s.config->buffer_size, snapshot);
   }
-  s.core.leader.queue().schedule(task->finish, [&s, task] { on_task_end(s, *task); });
+  task.seq = s.core.leader.queue().schedule(task.finish, sim::EventKind::kTaskEnd,
+                                            task.spec.task_id);
 }
 
-/// Schedule one pump retry at `when` unless one is already pending.
+/// Schedule one pump wake at `when` unless one is already pending.
 void schedule_pump(FedBuffState& s, sim::VirtualTime when) {
-  if (s.pump_scheduled) return;
-  s.pump_scheduled = true;
-  s.pump_time = when;
-  s.pump_stamp = s.next_stamp++;
-  s.core.leader.queue().schedule(when, [&s] {
-    s.pump_scheduled = false;
-    pump(s);
-  });
+  if (s.pump_pending) return;
+  s.pump_pending = true;
+  s.pump_wake.time = when;
+  s.pump_wake.seq = s.core.leader.queue().schedule(when, sim::EventKind::kPumpWake);
 }
 
 void pump(FedBuffState& s) {
@@ -261,7 +244,7 @@ void pump(FedBuffState& s) {
     return;
   }
 
-  while (s.running < s.config->max_concurrency) {
+  while (s.in_flight.size() < s.config->max_concurrency) {
     auto next_time = core.leader.arrivals().peek_time(now);
     if (!next_time.has_value()) return;  // trace exhausted
     if (*next_time > now) {
@@ -294,7 +277,8 @@ void pump(FedBuffState& s) {
 }
 
 /// Restore the async-runner section of `c` (RunCore has restored the base
-/// fields): the buffer, then the pending event set.
+/// fields): the buffer, the in-flight tasks and the pending events, each
+/// under the seq it had when the checkpoint was written.
 void restore(FedBuffState& s, const store::SimCheckpoint& c) {
   const RunInputs& in = s.core.in;
   FLINT_CHECK_MSG(c.has_fedbuff, "fedbuff checkpoint lacks the async-runner section");
@@ -306,59 +290,33 @@ void restore(FedBuffState& s, const store::SimCheckpoint& c) {
   s.staleness_sum = fb.staleness_sum;
   s.round_start = fb.round_start;
   s.last_aggregation_time = fb.last_aggregation_time;
-  s.next_stamp = fb.next_stamp;
   // The done flag is never serialized: it is re-derived from this run's
   // limits, so a resume with a larger max_rounds continues the lineage.
   s.done = s.version >= in.max_rounds || c.virtual_time_s >= in.max_virtual_s;
 
-  // Fast-forward the clock, then rebuild the pending event set in its
-  // original scheduling (stamp) order so the queue's same-time tie-break
-  // matches the uninterrupted run.
-  s.core.leader.queue().advance_to(c.virtual_time_s);
-  struct RestoredEvent {
-    std::uint64_t stamp = 0;
-    sim::VirtualTime when = 0.0;
-    std::function<void()> fire;
-  };
-  std::vector<RestoredEvent> events;
+  std::vector<sim::Event> events;
   events.reserve(fb.in_flight.size() + 1);
   for (const auto& rec : fb.in_flight) {
-    auto task = std::make_shared<InFlight>();
-    task->spec.task_id = rec.task_id;
-    task->spec.client_id = rec.client_id;
-    task->spec.device_index = static_cast<std::size_t>(rec.device_index);
-    task->spec.model_version = rec.model_version;
-    task->spec.dispatch_time = rec.dispatch_time;
-    task->spec.compute_s = rec.compute_s;
-    task->spec.comm_s = rec.comm_s;
-    task->spec.examples = static_cast<std::size_t>(rec.examples);
-    task->spec.update_bytes = rec.update_bytes;
-    task->spent_compute_s = rec.spent_compute_s;
-    task->window_end = rec.window_end;
-    task->finish = rec.finish_time;
-    task->interrupted = rec.interrupted;
-    task->stamp = rec.stamp;
+    sim::TaskSpec spec{rec.task_id,       rec.client_id,   static_cast<std::size_t>(rec.device_index),
+                       rec.model_version, rec.dispatch_time, rec.compute_s,
+                       rec.comm_s,        static_cast<std::size_t>(rec.examples), rec.update_bytes};
+    auto [it, inserted] = s.in_flight.try_emplace(
+        rec.task_id,
+        StartedTask{spec, rec.finish_time, rec.window_end, rec.spent_compute_s, rec.interrupted});
+    FLINT_CHECK_MSG(inserted, "checkpoint holds in-flight task " << rec.task_id << " twice");
+    InFlight& task = it->second;
+    task.seq = rec.stamp;
     // The checkpoint carries the materialized update (fill_section joins
     // in-flight workers before serializing), so no re-training is needed.
-    task->update.weight = rec.update_weight;
-    task->update.train.delta = rec.update_delta;
-    s.in_flight[rec.task_id] = task;
+    task.update.weight = rec.update_weight;
+    task.update.train.delta = rec.update_delta;
     s.busy.insert(rec.client_id);
-    ++s.running;
-    events.push_back({rec.stamp, rec.finish_time, [&s, task] { on_task_end(s, *task); }});
+    events.push_back({rec.finish_time, rec.stamp, sim::EventKind::kTaskEnd, rec.task_id});
   }
-  if (fb.pump_scheduled) {
-    s.pump_scheduled = true;
-    s.pump_time = fb.pump_time;
-    s.pump_stamp = fb.pump_stamp;
-    events.push_back({fb.pump_stamp, fb.pump_time, [&s] {
-                        s.pump_scheduled = false;
-                        pump(s);
-                      }});
-  }
-  std::sort(events.begin(), events.end(),
-            [](const RestoredEvent& a, const RestoredEvent& b) { return a.stamp < b.stamp; });
-  for (auto& e : events) s.core.leader.queue().schedule(e.when, std::move(e.fire));
+  s.pump_wake = {fb.pump_time, fb.pump_stamp, sim::EventKind::kPumpWake, 0};
+  s.pump_pending = fb.pump_scheduled;
+  if (s.pump_pending) events.push_back(s.pump_wake);
+  s.core.leader.queue().restore(c.virtual_time_s, std::move(events), fb.next_stamp);
 }
 
 }  // namespace
@@ -374,7 +332,17 @@ RunResult run_fedbuff(const AsyncConfig& config) {
   // Drain: completions may still fire after `done` flips; they are counted
   // as stale and never re-pump (pump() no-ops when done).
   sim::EventQueue& queue = s.core.leader.queue();
-  queue.run();
+  while (std::optional<sim::Event> ev = queue.pop()) {
+    switch (ev->kind) {
+      case sim::EventKind::kTaskEnd:
+        on_task_end(s, ev->task_id);
+        break;
+      case sim::EventKind::kPumpWake:
+        s.pump_pending = false;
+        pump(s);
+        break;
+    }
+  }
   s.core.result.events_executed = queue.executed();
   return s.core.finish(s.version, s.version > 0 ? s.last_aggregation_time : queue.now());
 }

@@ -154,12 +154,7 @@ std::optional<store::SimCheckpoint> RunCore::resume() {
   if (!c.server_rng_state.empty()) server_rng.deserialize_state(c.server_rng_state);
   task_ids = c.next_task_id;
   participation.restore(c.last_participation);
-  std::vector<sim::Arrival> requeued;
-  requeued.reserve(c.requeued.size());
-  for (const auto& a : c.requeued)
-    requeued.push_back({a.time, a.client_id, static_cast<std::size_t>(a.device_index),
-                        a.window_end});
-  leader.arrivals().restore(static_cast<std::size_t>(c.arrival_cursor), requeued);
+  leader.arrivals().restore(static_cast<std::size_t>(c.arrival_cursor), c.requeued);
   leader.restore(c);
   // Only the counters are restored: the classifications registered at
   // construction are kept.
@@ -239,9 +234,7 @@ void RunCore::fill_checkpoint(store::SimCheckpoint& ckpt) {
   ckpt.server_rng_state = server_rng.serialize_state();
   ckpt.next_task_id = task_ids;
   ckpt.arrival_cursor = leader.arrivals().cursor();
-  for (const auto& a : leader.arrivals().requeued_snapshot())
-    ckpt.requeued.push_back(
-        {a.time, a.client_id, static_cast<std::uint64_t>(a.device_index), a.window_end});
+  ckpt.requeued = leader.arrivals().requeued();
   ckpt.last_participation = participation.sorted_entries();
   ckpt.metrics = leader.metrics().snapshot();
   for (const auto& e : result.eval_curve)
@@ -272,11 +265,13 @@ void RunCore::close_round(std::uint64_t round, sim::VirtualTime start, sim::Virt
   if (in.eval_every_rounds > 0 && round % in.eval_every_rounds == 0)
     if (std::optional<double> metric = evaluate())
       result.eval_curve.push_back({end, round, *metric, 0.0});
-  leader.on_aggregation(round, params, leader.metrics().tasks_succeeded(),
-                        [&](store::SimCheckpoint& ckpt) {
-                          fill_checkpoint(ckpt);
-                          if (fill_section) fill_section(ckpt);
-                        });
+  if (std::optional<store::SimCheckpoint> ckpt =
+          leader.on_aggregation(round, params, leader.metrics().tasks_succeeded())) {
+    FLINT_TRACE_SPAN("leader.checkpoint", "store");
+    fill_checkpoint(*ckpt);
+    if (fill_section) fill_section(*ckpt);
+    in.leader.checkpoint_store->write(*ckpt);
+  }
   if (in.round_hook) in.round_hook(round);
 }
 

@@ -68,9 +68,6 @@ class FrameDecoder {
   /// more bytes are needed.
   bool next(Frame& out);
 
-  /// Bytes buffered but not yet consumed by next().
-  std::size_t buffered() const { return buffer_.size() - consumed_; }
-
  private:
   void compact();
 

@@ -4,20 +4,18 @@
 
 namespace flint::sim {
 
-void EventQueue::schedule(VirtualTime t, std::function<void()> fn) {
+std::uint64_t EventQueue::schedule(VirtualTime t, EventKind kind, std::uint64_t task_id) {
   FLINT_CHECK_FINITE(t);
   FLINT_CHECK_GE(t, now_);
-  heap_.push({t, next_seq_++, std::move(fn)});
+  return heap_.push({t, 0, kind, task_id});
 }
 
-bool EventQueue::step() {
-  if (heap_.empty()) return false;
-  // Copy out before pop so the callback can schedule new events freely.
-  Event ev = heap_.top();
-  heap_.pop();
+std::optional<Event> EventQueue::pop() {
+  if (heap_.empty()) return std::nullopt;
+  Event ev = heap_.pop();
   // Virtual-clock monotonicity: the heap can never yield an event earlier
-  // than the last one executed (schedule() rejects past times, so a
-  // violation here means heap-order corruption).
+  // than the last one popped (schedule() and restore() reject past times, so
+  // a violation here means heap-order corruption).
   FLINT_CHECK_GE(ev.time, now_);
   now_ = ev.time;
   ++executed_;
@@ -28,21 +26,14 @@ bool EventQueue::step() {
       g->set(static_cast<double>(heap_.size()));
     telemetry->maybe_snapshot();
   }
-  ev.fn();
-  return true;
+  return ev;
 }
 
-void EventQueue::run(std::uint64_t max_events) {
-  std::uint64_t budget = max_events;
-  while (budget-- > 0 && step()) {
-  }
-}
-
-void EventQueue::advance_to(VirtualTime t) {
-  FLINT_CHECK_FINITE(t);
-  FLINT_CHECK_GE(t, now_);
-  if (!heap_.empty()) FLINT_CHECK_GE(heap_.top().time, t);
-  now_ = t;
+void EventQueue::restore(VirtualTime now, std::vector<Event> events, std::uint64_t next_seq) {
+  FLINT_CHECK_FINITE(now);
+  FLINT_CHECK_GE(now, now_);
+  heap_.restore(std::move(events), next_seq, now);
+  now_ = now;
 }
 
 }  // namespace flint::sim

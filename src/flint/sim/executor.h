@@ -25,13 +25,10 @@ class ExecutorPool {
  public:
   explicit ExecutorPool(std::size_t count);
 
-  std::size_t size() const { return count_; }
-
-  /// The executor owning `client`: client_id % size().
+  /// The executor owning `client`: client_id % count.
   std::size_t executor_of(std::uint64_t client) const;
 
   void add_outage(ExecutorOutage outage);
-  const std::vector<ExecutorOutage>& outages() const { return outages_; }
 
   /// Earliest time >= t at which every executor is healthy ("the leader node
   /// halts dispatching tasks until all executors have pinged it with a

@@ -19,17 +19,16 @@ Leader::Leader(const LeaderConfig& config, device::WindowStream& windows)
                     "checkpoint cadence set but no checkpoint store provided");
 }
 
-void Leader::on_aggregation(std::uint64_t round, const std::vector<float>& model_parameters,
-                            std::uint64_t tasks_completed,
-                            const std::function<void(store::SimCheckpoint&)>& fill_state) {
+std::optional<store::SimCheckpoint> Leader::on_aggregation(
+    std::uint64_t round, const std::vector<float>& model_parameters,
+    std::uint64_t tasks_completed) {
   // Aggregations are numbered from 1 and arrive in order on the virtual
   // clock; a regression here means a runner replayed or skipped a round.
   FLINT_CHECK_GT(round, std::uint64_t{0});
   FLINT_CHECK_GT(round, last_aggregation_round_);
   last_aggregation_round_ = round;
-  if (config_.checkpoint_every_rounds == 0) return;
-  if (round % config_.checkpoint_every_rounds != 0) return;
-  FLINT_TRACE_SPAN("leader.checkpoint", "store");
+  if (config_.checkpoint_every_rounds == 0) return std::nullopt;
+  if (round % config_.checkpoint_every_rounds != 0) return std::nullopt;
   // The sync runner drives virtual time by hand and never pumps queue_, so
   // the just-recorded round's end (on_round always precedes on_aggregation)
   // is the authoritative clock for both runners.
@@ -45,9 +44,8 @@ void Leader::on_aggregation(std::uint64_t round, const std::vector<float>& model
   ckpt.tasks_completed = tasks_completed;
   ckpt.model_parameters = model_parameters;
   ckpt.checkpoints_written = checkpoints_written_;
-  if (fill_state) fill_state(ckpt);
-  config_.checkpoint_store->write(ckpt);
   obs::add_counter("leader.checkpoints_written");
+  return ckpt;
 }
 
 void Leader::restore(const store::SimCheckpoint& checkpoint) {

@@ -3,8 +3,7 @@
 // health gating, metrics, and periodic checkpointing (§3.4).
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "flint/sim/event_queue.h"
@@ -36,27 +35,23 @@ class Leader {
   ArrivalScheduler& arrivals() { return arrivals_; }
   ExecutorPool& executors() { return executors_; }
   SimMetrics& metrics() { return metrics_; }
-  const SimMetrics& metrics() const { return metrics_; }
 
   /// Earliest time >= t at which tasks may be dispatched: the leader halts
   /// dispatching while any executor is unhealthy.
   VirtualTime dispatch_gate(VirtualTime t) const { return executors_.next_all_healthy(t); }
 
-  /// Record an aggregation; writes a checkpoint when the cadence triggers.
-  /// `fill_state`, when provided, is called on the partially-built checkpoint
-  /// (base fields set) so the runner can add its full resume state — server
-  /// optimizer/RNG, scheduler cursors, metrics, the FedBuff buffer. It runs
-  /// only when a checkpoint is actually written.
-  void on_aggregation(std::uint64_t round, const std::vector<float>& model_parameters,
-                      std::uint64_t tasks_completed,
-                      const std::function<void(store::SimCheckpoint&)>& fill_state = nullptr);
+  /// Record an aggregation. When the checkpoint cadence triggers, returns the
+  /// checkpoint due now with its base fields set (the write is already
+  /// counted); the runner adds its full resume state — server optimizer/RNG,
+  /// scheduler cursors, metrics, the FedBuff buffer — and writes it to the
+  /// configured store.
+  std::optional<store::SimCheckpoint> on_aggregation(
+      std::uint64_t round, const std::vector<float>& model_parameters,
+      std::uint64_t tasks_completed);
 
   /// Restore aggregation progress from a checkpoint (resume path): the last
   /// aggregation round, the checkpoints-written count, and the metrics state.
   void restore(const store::SimCheckpoint& checkpoint);
-
-  /// Checkpoints written so far (including those before a resume).
-  std::uint64_t checkpoints_written() const { return checkpoints_written_; }
 
  private:
   LeaderConfig config_;

@@ -43,16 +43,15 @@ std::optional<Arrival> ArrivalScheduler::next(VirtualTime t) {
   obs::LatencyTimer timer(pick_latency_, "sim.pick_latency_us", 0.0, 50.0, 50);
   if (auto* c = picks_counter_.resolve("sim.scheduler_picks")) c->add(1);
   // Drop requeued arrivals whose window has closed.
-  while (!requeued_.empty() && requeued_.top().arrival.window_end <= t) requeued_.pop();
+  while (!requeued_.empty() && requeued_.top().window_end <= t) requeued_.pop();
 
   std::optional<Arrival> picked;
   std::optional<Arrival> from_trace = trace_candidate(t);
   if (!requeued_.empty()) {
-    Arrival r = requeued_.top().arrival;
-    r.time = std::max(r.time, t);
-    if (!from_trace.has_value() || r.time <= from_trace->time) {
-      requeued_.pop();
-      picked = r;
+    VirtualTime rt = std::max(requeued_.top().time, t);
+    if (!from_trace.has_value() || rt <= from_trace->time) {
+      Requeued r = requeued_.pop();
+      picked = Arrival{rt, r.client_id, r.device_index, r.window_end};
     }
   }
   if (!picked.has_value() && from_trace.has_value()) {
@@ -69,37 +68,34 @@ std::optional<Arrival> ArrivalScheduler::next(VirtualTime t) {
 }
 
 std::optional<VirtualTime> ArrivalScheduler::peek_time(VirtualTime t) {
-  while (!requeued_.empty() && requeued_.top().arrival.window_end <= t) requeued_.pop();
+  while (!requeued_.empty() && requeued_.top().window_end <= t) requeued_.pop();
   std::optional<Arrival> from_trace = trace_candidate(t);
   std::optional<VirtualTime> best;
   if (from_trace.has_value()) best = from_trace->time;
   if (!requeued_.empty()) {
-    VirtualTime rt = std::max(requeued_.top().arrival.time, t);
+    VirtualTime rt = std::max(requeued_.top().time, t);
     if (!best.has_value() || rt < *best) best = rt;
   }
   return best;
 }
 
-void ArrivalScheduler::requeue(Arrival arrival, VirtualTime retry_time) {
+void ArrivalScheduler::requeue(const Arrival& arrival, VirtualTime retry_time) {
   FLINT_CHECK_FINITE(retry_time);
   FLINT_CHECK_GE(retry_time, arrival.time);
   if (retry_time >= arrival.window_end) return;  // nothing left of the window
-  arrival.time = retry_time;
-  requeued_.push({arrival, next_requeue_seq_++});
+  requeued_.push({retry_time, 0, arrival.client_id, arrival.device_index, arrival.window_end});
 }
 
-std::vector<Arrival> ArrivalScheduler::requeued_snapshot() const {
-  auto copy = requeued_;
-  std::vector<Arrival> out;
-  out.reserve(copy.size());
-  while (!copy.empty()) {
-    out.push_back(copy.top().arrival);
-    copy.pop();
-  }
+std::vector<store::CheckpointRequeuedArrival> ArrivalScheduler::requeued() const {
+  std::vector<store::CheckpointRequeuedArrival> out;
+  out.reserve(requeued_.size());
+  for (const Requeued& r : requeued_.entries())
+    out.push_back({r.time, r.client_id, r.device_index, r.window_end});
   return out;
 }
 
-void ArrivalScheduler::restore(std::size_t cursor, const std::vector<Arrival>& requeued) {
+void ArrivalScheduler::restore(std::size_t cursor,
+                               const std::vector<store::CheckpointRequeuedArrival>& requeued) {
   if (trace_ != nullptr) {
     FLINT_CHECK_LE(cursor, trace_->windows().size());
     cursor_ = cursor;
@@ -112,12 +108,15 @@ void ArrivalScheduler::restore(std::size_t cursor, const std::vector<Arrival>& r
       pop_window();
     }
   }
-  requeued_ = {};
-  next_requeue_seq_ = 0;
-  // Re-inserting in snapshot (pop) order with fresh sequence numbers keeps
-  // the pop order identical, and any retry requeued after the resume gets a
-  // larger seq — exactly as it would have in the uninterrupted run.
-  for (const Arrival& a : requeued) requeued_.push({a, next_requeue_seq_++});
+  // Numbering the snapshot (pop) order afresh keeps the pop order, and later
+  // retries get larger seqs, as in the uninterrupted run. No retry lies
+  // before virtual time 0.
+  std::vector<Requeued> entries(requeued.size());
+  for (std::size_t i = 0; i < requeued.size(); ++i) {
+    const store::CheckpointRequeuedArrival& a = requeued[i];
+    entries[i] = {a.time, i, a.client_id, static_cast<std::size_t>(a.device_index), a.window_end};
+  }
+  requeued_.restore(std::move(entries), requeued.size(), 0.0);
 }
 
 }  // namespace flint::sim

@@ -9,12 +9,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "flint/device/availability.h"
 #include "flint/obs/telemetry.h"
-#include "flint/sim/event_queue.h"
+#include "flint/sim/time_heap.h"
+#include "flint/store/checkpoint.h"
 
 namespace flint::sim {
 
@@ -49,35 +49,33 @@ class ArrivalScheduler {
   /// Put an arrival back to be re-offered at `retry_time` (if still within
   /// its window). Used when a client was selected but could not be
   /// dispatched (busy executor, concurrency cap).
-  void requeue(Arrival arrival, VirtualTime retry_time);
+  void requeue(const Arrival& arrival, VirtualTime retry_time);
 
   /// Windows already consumed from the source — the checkpoint cursor.
   std::size_t cursor() const { return cursor_; }
 
   /// Requeued arrivals in deterministic pop order (time, then requeue order),
-  /// without consuming them. Pairs with restore() for checkpointing.
-  std::vector<Arrival> requeued_snapshot() const;
+  /// as the checkpoint records them, without consuming them.
+  std::vector<store::CheckpointRequeuedArrival> requeued() const;
 
   /// Restore checkpointed state: the window cursor plus requeued arrivals in
-  /// the order requeued_snapshot() returned them. The trace (or stream)
+  /// the order requeued() returned them. The trace (or stream)
   /// passed to the constructor must match the one the checkpointed run used;
   /// a stream-backed scheduler can only restore forward (it replays the
   /// stream up to the cursor).
-  void restore(std::size_t cursor, const std::vector<Arrival>& requeued);
+  void restore(std::size_t cursor,
+               const std::vector<store::CheckpointRequeuedArrival>& requeued);
 
  private:
-  // The requeue heap orders by retry time with insertion order breaking ties,
-  // so equal-time retries pop in the order they were requeued — a stable
-  // order a resumed run can reproduce exactly.
-  struct QueuedArrival {
-    Arrival arrival;
+  // A requeued arrival, keyed by its retry time. Equal-time retries pop in
+  // the order they were requeued — a stable order a resumed run can
+  // reproduce exactly.
+  struct Requeued {
+    VirtualTime time = 0.0;
     std::uint64_t seq = 0;
-  };
-  struct LaterArrival {
-    bool operator()(const QueuedArrival& a, const QueuedArrival& b) const {
-      if (a.arrival.time != b.arrival.time) return a.arrival.time > b.arrival.time;
-      return a.seq > b.seq;
-    }
+    std::uint64_t client_id = 0;
+    std::size_t device_index = 0;
+    VirtualTime window_end = 0.0;
   };
 
   std::optional<Arrival> trace_candidate(VirtualTime t);
@@ -91,8 +89,7 @@ class ArrivalScheduler {
   std::optional<device::AvailabilityWindow> lookahead_;
   bool stream_exhausted_ = false;
   std::size_t cursor_ = 0;
-  std::priority_queue<QueuedArrival, std::vector<QueuedArrival>, LaterArrival> requeued_;
-  std::uint64_t next_requeue_seq_ = 0;
+  TimeHeap<Requeued> requeued_;
   obs::CachedHistogram pick_latency_;  ///< wall cost of next(), microseconds
   obs::CachedCounter picks_counter_;
 };

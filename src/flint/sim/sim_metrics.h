@@ -62,7 +62,6 @@ class SimMetrics {
   double client_compute_s() const { return client_compute_s_; }
 
   std::uint64_t updates_aggregated() const { return updates_aggregated_; }
-  std::uint64_t aggregations() const { return rounds_.size(); }
   const std::vector<RoundRecord>& rounds() const { return rounds_; }
   const std::vector<CheckpointRecord>& checkpoints() const { return checkpoints_; }
 

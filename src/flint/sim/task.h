@@ -2,9 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "flint/sim/event_queue.h"
+#include "flint/sim/time_heap.h"
 
 namespace flint::sim {
 
@@ -15,16 +14,6 @@ enum class TaskOutcome {
   kStale,        ///< finished, but update discarded (staleness / round over)
   kFailed,       ///< infrastructure failure (executor outage)
 };
-
-inline const char* outcome_name(TaskOutcome o) {
-  switch (o) {
-    case TaskOutcome::kSucceeded: return "succeeded";
-    case TaskOutcome::kInterrupted: return "interrupted";
-    case TaskOutcome::kStale: return "stale";
-    case TaskOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
 
 /// A dispatched client task.
 struct TaskSpec {
@@ -39,18 +28,14 @@ struct TaskSpec {
   /// Update size M in bytes (also the model download size); attribution
   /// bookkeeping derives per-client bytes up/down from it.
   std::uint64_t update_bytes = 0;
-
-  double duration_s() const { return compute_s + comm_s; }
 };
 
-/// A finished task with its payload.
+/// A finished task, as the metrics count it.
 struct TaskResult {
   TaskSpec spec;
   TaskOutcome outcome = TaskOutcome::kSucceeded;
   VirtualTime finish_time = 0.0;
   double spent_compute_s = 0.0;  ///< device compute actually consumed
-  std::vector<float> update;     ///< parameter delta (empty if discarded early)
-  double train_loss = 0.0;
 };
 
 }  // namespace flint::sim

@@ -36,7 +36,7 @@ TEST(FedAvg, ModelFreeRunsToMaxRounds) {
   auto cfg = model_free_config(trace, catalog, bw, counts);
   RunResult r = run_fedavg(cfg);
   EXPECT_EQ(r.rounds, 5u);
-  EXPECT_EQ(r.metrics.aggregations(), 5u);
+  EXPECT_EQ(r.metrics.rounds().size(), 5u);
   // Over-commitment: 7 dispatched per round, 5 aggregated, 2 stragglers.
   EXPECT_EQ(r.metrics.tasks_started(), 5u * 7u);
   EXPECT_EQ(r.metrics.tasks_succeeded(), 25u);

@@ -58,7 +58,7 @@ void check_common_invariants(const RunResult& r, std::uint64_t max_rounds) {
   EXPECT_EQ(m.tasks_started(),
             m.tasks_succeeded() + m.tasks_interrupted() + m.tasks_stale() + m.tasks_failed());
   EXPECT_LE(r.rounds, max_rounds);
-  EXPECT_EQ(r.rounds, m.aggregations());
+  EXPECT_EQ(r.rounds, m.rounds().size());
   EXPECT_GE(m.client_compute_s(), 0.0);
   EXPECT_GE(r.virtual_duration_s, 0.0);
   // Round records are time-ordered with non-negative durations, and their

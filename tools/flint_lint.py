@@ -48,6 +48,11 @@ in the file):
                   util/bytes.h: every binary format reads through one
                   ByteReader field walk, whose counts are bounded by the
                   bytes left, instead of a hand-rolled offset walk.
+  sim-events      no std::function or std::priority_queue under
+                  src/flint/sim/: an event is plain data a checkpoint records
+                  as it is, and every time-ordered queue there is the one
+                  sim::TimeHeap, so the (time, seq) tie-break a resumed run
+                  replays lives in one place.
   simd            raw SIMD intrinsics (<immintrin.h>/<arm_neon.h> includes,
                   _mm*/v*q_f32 calls) are confined to src/flint/ml/kernels/ —
                   everything else calls through the dispatched KernelTable so
@@ -99,6 +104,8 @@ SOCKET_HEADER_RE = re.compile(
 # simd: intrinsic headers and calls confined to src/flint/ml/kernels/.
 SIMD_HEADER_RE = re.compile(r"#\s*include\s*<(immintrin|x86intrin|emmintrin|arm_neon)\.h>")
 SIMD_INTRINSIC_RE = re.compile(r"\b_mm\d*_\w+\s*\(|\bv\w+q_(f|s|u)(8|16|32|64)\s*\(")
+# sim-events: closures and a second heap type stay out of src/flint/sim/.
+SIM_EVENTS_RE = re.compile(r"\bstd::(function|priority_queue)\b")
 # byte-codec: hand-rolled offset reads outside the codec itself.
 READ_POD_RE = re.compile(r"\bread_pod\s*[<(]")
 
@@ -140,6 +147,7 @@ def lint_file(path: Path) -> list[Finding]:
     in_kernels = "kernels" in path.parts
     in_src = "src" in path.parts
     in_bytes_h = path.name == "bytes.h" and path.parent.name == "util"
+    in_sim = "src/flint/sim/" in path.as_posix()
     is_header = path.suffix in (".h", ".hpp")
 
     # pragma-once — against stripped text, so a commented-out
@@ -200,6 +208,13 @@ def lint_file(path: Path) -> list[Finding]:
                 Finding(path, lineno, "byte-codec",
                         "read_pod outside util/bytes.h; describe the record as a "
                         "field walk over util::ByteReader / util::ByteWriter"))
+
+        # sim-events
+        if in_sim and SIM_EVENTS_RE.search(line) and not suppressed("sim-events", lines, idx):
+            findings.append(
+                Finding(path, lineno, "sim-events",
+                        "std::function / std::priority_queue under src/flint/sim/; "
+                        "schedule a plain sim::Event and order it with sim::TimeHeap"))
 
         # rpc-spans
         if in_rpc and ANON_SPAN_RE.search(line) and not suppressed("rpc-spans", lines, idx):
