@@ -102,21 +102,19 @@ RunResult run_fedavg(const SyncConfig& config) {
       local.lr = in.client_lr.at(round - 1);
       std::size_t participants = successes.size();
       // Fan the cohort across whatever execution mode the run uses (serial /
-      // thread pool / rpc executors), then reduce in the fixed `successes`
-      // order — consuming in submission order imposes the serial reduction
-      // sequence, so the accumulator sees identical updates on every mode.
-      // `params` is only mutated after every pending update is consumed.
-      std::vector<PendingUpdate> pending;
-      pending.reserve(successes.size());
+      // thread pool / rpc executors), then fold in the fixed `successes`
+      // order, so the accumulator sees identical updates on every mode.
+      // `params` is only mutated after every pending update is folded.
+      std::vector<BufferedUpdate> buffer;
+      buffer.reserve(successes.size());
       for (const StartedTask* task : successes) {
-        pending.push_back(core.trainers.submit_update(
-            in, in.dataset->client(task->spec.client_id).examples, core.params, local,
-            task->spec.task_id, task->spec.client_id, round, participants));
+        buffer.push_back({core.trainers.submit_update(
+                              in, in.dataset->client(task->spec.client_id).examples,
+                              core.params, local, task->spec.task_id, task->spec.client_id,
+                              round, participants),
+                          std::nullopt});
       }
-      for (auto& p : pending) {
-        ClientUpdate update = p.get();
-        acc.add(update.train.delta, update.weight);
-      }
+      fold_in_order(buffer, acc);
       auto mean = acc.weighted_mean();
       core.server_opt.step(core.params, mean);
     }

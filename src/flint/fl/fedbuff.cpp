@@ -16,10 +16,10 @@ namespace flint::fl {
 namespace {
 
 /// One in-flight task: its dispatch-time fate plus the local update —
-/// computed eagerly at dispatch on the serial path, in flight on a pool
-/// worker, or leased to an rpc executor (`pending` abstracts all three; the
-/// completion handler consumes it in virtual-time event order and therefore
-/// reduces deterministically).
+/// computed eagerly at dispatch on the serial path, queued on the pool, or
+/// leased to an rpc executor (`pending` abstracts all three). A succeeded
+/// completion moves it to the fold list in virtual-time event order, and
+/// aggregate() folds that list in order, so the reduction is deterministic.
 struct InFlight : StartedTask {
   explicit InFlight(const StartedTask& started) : StartedTask(started) {}
   std::uint64_t seq = 0;  ///< its task-end event's queue seq (the checkpoint stamp)
@@ -37,6 +37,10 @@ struct FedBuffState {
   const AsyncConfig* config;
   RunCore core;
   UpdateAccumulator accumulator;
+  /// The buffer's model-full updates in completion order, with their
+  /// staleness weights. aggregate() joins and folds them into `accumulator`
+  /// (DESIGN.md §11), so it is empty whenever a checkpoint is cut.
+  std::vector<BufferedUpdate> fold;
   /// Immutable copy of the params for in-flight training jobs. Workers train
   /// against the snapshot their task captured at dispatch, so aggregate()
   /// can mutate the params while clients are still training — exactly the
@@ -77,6 +81,9 @@ void refresh_snapshot(FedBuffState& s) {
 /// in-flight tasks. RunCore fills the base fields. Every stamp is a queue
 /// seq, so a resume restores the queue as it was (DESIGN.md §12).
 void fill_section(FedBuffState& s, store::SimCheckpoint& ckpt) {
+  // A checkpoint is cut inside aggregate(), after the fold: the accumulator
+  // is the only buffer state on disk.
+  FLINT_CHECK_MSG(s.fold.empty(), "checkpoint cut with " << s.fold.size() << " updates unfolded");
   ckpt.has_fedbuff = true;
   store::CheckpointFedBuff& fb = ckpt.fedbuff;
   fb.accumulator_sum = s.accumulator.sum();
@@ -105,6 +112,9 @@ void fill_section(FedBuffState& s, store::SimCheckpoint& ckpt) {
 }
 
 void aggregate(FedBuffState& s) {
+  // The training the fold may wait for is not aggregation time, so it runs
+  // before the span opens.
+  fold_in_order(s.fold, s.accumulator);
   FLINT_TRACE_SPAN("fedbuff.aggregate", "fl");
   RunCore& core = s.core;
   sim::VirtualTime now = core.leader.queue().now();
@@ -144,17 +154,15 @@ void on_task_end(FedBuffState& s, std::uint64_t task_id) {
   sim::TaskOutcome outcome = sim::TaskOutcome::kInterrupted;
   bool buffer_full = false;
   if (!task.interrupted) {
-    // Join the update if it is still pending (training it here if no worker
-    // has started it) — also for updates about to be discarded as stale, so
-    // no task outlives its completion event. Completions run in virtual-time order, independent of thread
-    // count, so the accumulator sees the same sequence as the serial path.
-    if (task.pending.valid()) task.update = task.pending.get();
     // Staleness bound: a task can never have trained on a model version the
     // server hasn't produced yet (unsigned subtraction would wrap).
     FLINT_CHECK_GE(s.version, task.spec.model_version);
     std::uint64_t staleness = s.version - task.spec.model_version;
     if (s.done || staleness > s.config->max_staleness) {
       outcome = sim::TaskOutcome::kStale;
+      // Never folded, but still joined, so no task outlives its completion
+      // event and the training counters match at every thread count.
+      if (task.pending.valid()) (void)task.pending.get();
     } else {
       outcome = sim::TaskOutcome::kSucceeded;
       // Staleness distribution (Figure 8's control variable) as a live
@@ -164,17 +172,22 @@ void on_task_end(FedBuffState& s, std::uint64_t task_id) {
               std::min<std::size_t>(s.config->max_staleness + 1, 64)))
         h->record(static_cast<double>(staleness));
       if (!s.core.in.model_free) {
+        // Recorded, not joined: completions run in virtual-time order at any
+        // thread count, and aggregate() folds the list in that order.
         double w = s.config->staleness_weighting ? staleness_weight(staleness) : 1.0;
-        s.accumulator.add(task.update.train.delta, w);
+        s.fold.push_back({task.pending.valid() ? std::move(task.pending)
+                                               : PendingUpdate::ready(std::move(task.update)),
+                          w});
       } else {
         // Model-free mode still tracks buffer occupancy with unit weights.
         static thread_local std::vector<float> kZero{0.0f};
         s.accumulator.add(kZero, 1.0);
       }
       s.staleness_sum += static_cast<double>(staleness);
+      std::size_t buffered = s.accumulator.count() + s.fold.size();
       if (auto* g = s.buffer_gauge.resolve("fl.buffer_occupancy"))
-        g->set(static_cast<double>(s.accumulator.count()));
-      buffer_full = s.accumulator.count() >= s.config->buffer_size;
+        g->set(static_cast<double>(buffered));
+      buffer_full = buffered >= s.config->buffer_size;
     }
   }
   s.core.finish_task(task, outcome);
@@ -343,6 +356,10 @@ RunResult run_fedbuff(const AsyncConfig& config) {
         break;
     }
   }
+  // The updates of a buffer the trace ran out before filling are never
+  // folded, but still joined, like stale ones.
+  for (BufferedUpdate& b : s.fold) (void)b.pending.get();
+  s.fold.clear();
   s.core.result.events_executed = queue.executed();
   return s.core.finish(s.version, s.version > 0 ? s.last_aggregation_time : queue.now());
 }

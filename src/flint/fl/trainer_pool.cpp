@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "flint/fl/aggregator.h"
 #include "flint/obs/telemetry.h"
 #include "flint/rpc/leader.h"
 #include "flint/util/check.h"
@@ -121,6 +122,20 @@ ClientUpdate PendingUpdate::get() {
   }
   FLINT_CHECK_MSG(false, "unreachable PendingUpdate kind");
   return {};
+}
+
+void PendingUpdate::join_pool() {
+  FLINT_CHECK_MSG(valid(), "PendingUpdate::join_pool() on a consumed update");
+  if (kind_ == Kind::kPool) task_.wait();
+}
+
+void fold_in_order(std::vector<BufferedUpdate>& buffer, UpdateAccumulator& acc) {
+  for (auto it = buffer.rbegin(); it != buffer.rend(); ++it) it->pending.join_pool();
+  for (BufferedUpdate& b : buffer) {
+    ClientUpdate update = b.pending.get();
+    acc.add(update.train.delta, b.weight.value_or(update.weight));
+  }
+  buffer.clear();
 }
 
 PendingUpdate TrainerPool::submit_update(

@@ -9,16 +9,19 @@
 // Determinism contract: every simulated task draws its randomness from
 // counter-based streams derived from (inputs.seed, task id) — never from a
 // shared Rng — trains a replica that set_flat_parameters fully resets, and
-// the runners join pending updates / reduce them in fixed task order.
+// the runners fold updates into the accumulator in fixed task order.
 // Together those make the run a pure function of the inputs: at any
 // `threads` value the results are bit-identical, only wall time changes.
 //
 // Help on join (util/thread_pool.h): joining an update that no worker has
 // started trains it right there, on the joining simulation thread with
-// replica 0, exactly as the serial path does. FedBuff mostly has one task in
-// flight, so most of its updates train that way, with no wake-up of a
-// worker and no hand-back. fl.parallel_train_batches counts only the
-// updates a pool worker ran.
+// replica 0, exactly as the serial path does. Both runners fold through
+// fold_in_order, which joins pool tasks back to front: the workers take the
+// queue's head while the simulation thread trains its tail, so a round's
+// updates train on every worker and the joiner at once. FedBuff folds its
+// buffer only at aggregation, so a whole round is in the queue by then even
+// when one task is in flight at a time. fl.parallel_train_batches counts
+// only the updates a pool worker ran.
 //
 // Concurrency contract: TrainerPool itself holds no mutex. Each trainer
 // replica is owned by exactly one thread (trainer() indexes by
@@ -43,6 +46,8 @@ class Leader;
 }
 
 namespace flint::fl {
+
+class UpdateAccumulator;
 
 // Substream tags for util::derive_stream(seed, task_id, substream). Each
 // per-task consumer owns a tag so adding one never perturbs the others.
@@ -82,9 +87,9 @@ ClientUpdate compute_client_update(LocalTrainer& trainer, const RunInputs& input
 
 /// A client update that may be ready now (serial path), queued on the pool
 /// (a worker or the joiner trains it), or leased to a remote executor.
-/// One-shot: get() consumes it (valid() turns false), and the runners call
-/// get() in fixed submission order, which is what imposes the deterministic
-/// reduction order on every execution mode.
+/// One-shot: get() consumes it (valid() turns false), and the runners fold
+/// through fold_in_order, which imposes the deterministic reduction order on
+/// every execution mode.
 class PendingUpdate {
  public:
   PendingUpdate() = default;
@@ -101,6 +106,11 @@ class PendingUpdate {
   /// Requires valid().
   ClientUpdate get();
 
+  /// Run a pool task here if no worker has started it, else wait for the
+  /// worker; get() then returns at once. A no-op on the other kinds, and
+  /// the update stays valid. Requires valid().
+  void join_pool();
+
  private:
   enum class Kind { kInvalid, kReady, kPool, kRemote };
 
@@ -110,6 +120,21 @@ class PendingUpdate {
   rpc::Leader* leader_ = nullptr;
   std::uint64_t lease_id_ = 0;
 };
+
+/// One update waiting to be folded, and the weight it is folded with; none
+/// means its own ClientUpdate::weight.
+struct BufferedUpdate {
+  PendingUpdate pending;
+  std::optional<double> weight;
+};
+
+/// Add every update in `buffer` to `acc` in list order, then clear `buffer`.
+/// Pool tasks are joined back to front first: workers pop the queue from the
+/// front, so the joining thread trains the unclaimed tail while they finish
+/// the head. Rpc leases are awaited front to back (Leader::wait steers its
+/// pump by the awaited lease). The fold order alone decides the sum, so it
+/// is the same on every execution mode.
+void fold_in_order(std::vector<BufferedUpdate>& buffer, UpdateAccumulator& acc);
 
 class TrainerPool {
  public:
@@ -131,11 +156,11 @@ class TrainerPool {
 
   /// Submit one client-update computation on whichever execution mode the
   /// run uses, in precedence order: rpc lease (inputs.rpc_leader set), pool
-  /// task, or computed-right-now serial. The returned PendingUpdate is
-  /// consumed by the runner in submission order.
+  /// task, or computed-right-now serial. The runner folds the returned
+  /// PendingUpdate with fold_in_order, or get()s it to throw it away.
   ///
-  /// `params` must stay valid until get() on the pool path (the runners
-  /// guarantee this: fedavg joins before mutating, fedbuff passes
+  /// `params` must stay valid until the task runs on the pool path (the
+  /// runners guarantee this: fedavg folds before mutating, fedbuff passes
   /// `params_keepalive` to pin its dispatch-time snapshot). The serial and
   /// remote paths read `params` before returning.
   PendingUpdate submit_update(const RunInputs& inputs, std::span<const ml::Example> data,

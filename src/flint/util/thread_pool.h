@@ -10,12 +10,13 @@
 // loses waits for the worker to finish, as with a future. A joiner only ever
 // runs the task it joins, never another queued one.
 //
-// Determinism therefore still lives at the join, never in the queue: callers
-// impose any ordering that matters by joining handles in a fixed order (the
-// fl runners reduce client updates into the accumulator in task order), and
-// every task must compute the same result on whichever thread runs it (the
-// runners' tasks are pure functions of their inputs). `--threads N`, and who
-// wins a claim, can only change wall time, not results.
+// Determinism therefore never lives in the queue: callers impose any
+// ordering that matters by consuming results in a fixed order (the fl
+// runners fold client updates into the accumulator in task order, whatever
+// order they join them in), and every task must compute the same result on
+// whichever thread runs it (the runners' tasks are pure functions of their
+// inputs). `--threads N`, and who wins a claim, can only change wall time,
+// not results.
 //
 // util sits below flint::obs, so the pool does not record metrics itself;
 // it reports queue depth, busy workers, and per-worker busy seconds through

@@ -1,15 +1,17 @@
 // The parallel training runtime's core contract (DESIGN.md §11): every
 // simulated quantity — final parameters, eval curve, system metrics — is
-// bit-identical at any --threads value. Reductions join pool tasks in fixed
+// bit-identical at any --threads value. Reductions fold updates in fixed
 // task order, per-task RNG streams are derived from (seed, task id), and an
 // update computes the same on whichever thread runs it, so the thread count
 // can only change wall time.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "flint/fl/fedavg.h"
 #include "flint/fl/fedbuff.h"
+#include "flint/fl/rpc_runtime.h"
 #include "run_identical.h"
 #include "test_helpers.h"
 
@@ -44,6 +46,12 @@ void apply_variant(RunInputs& inputs, const Variant& v) {
   }
 }
 
+/// The FedBuff knobs the tests below vary.
+struct BuffShape {
+  std::size_t max_concurrency = 12;
+  std::uint64_t max_staleness = 50;
+};
+
 // Exact equality everywhere (shared with the crash-resume tests): the
 // contract is bit-identical, not "close".
 using test::expect_identical_runs;
@@ -74,7 +82,10 @@ class Harness {
     return run_fedavg(cfg);
   }
 
-  RunResult run_buff(std::size_t threads, const Variant& v, std::size_t max_concurrency = 12) {
+  /// A FedBuff run on `threads` in-process, or over a 2-executor loopback
+  /// rpc fleet when `loopback` is set.
+  RunResult run_buff(std::size_t threads, const Variant& v, BuffShape shape = {},
+                     bool loopback = false) {
     util::Rng model_rng(5);
     auto model = task_.make_model(model_rng);
     auto trace = test::always_available(40, 1e7);
@@ -87,9 +98,17 @@ class Harness {
     cfg.inputs.eval_every_rounds = 2;
     cfg.inputs.seed = 9;
     cfg.buffer_size = 4;
-    cfg.max_concurrency = max_concurrency;
-    cfg.max_staleness = 50;
+    cfg.max_concurrency = shape.max_concurrency;
+    cfg.max_staleness = shape.max_staleness;
     apply_variant(cfg.inputs, v);
+    std::unique_ptr<RpcRuntime> rpc;
+    if (loopback) {
+      RpcRuntimeConfig rpc_cfg;
+      rpc_cfg.kind = TransportKind::kLoopback;
+      rpc_cfg.executors = 2;
+      rpc = std::make_unique<RpcRuntime>(rpc_cfg, cfg.inputs);
+      cfg.inputs.rpc_leader = rpc->leader();
+    }
     return run_fedbuff(cfg);
   }
 
@@ -119,17 +138,39 @@ TEST(ParallelDeterminism, FedBuffBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, FedBuffOneInFlightBitIdenticalAcrossThreadCounts) {
-  // One task in flight: the simulation thread joins each update right after
-  // dispatching it, so with a pool it trains most of them itself (help on
-  // join, on the off-pool replica) while a worker may still race it for the
-  // claim. Neither may change a result.
+  // One task in flight: each completion only records its update, so a whole
+  // buffer's tasks are queued one after another before aggregation folds
+  // them. The fold joins them back to front, so the simulation thread trains
+  // the unclaimed tail (help on join, on the off-pool replica) while the
+  // workers race it for the head. Neither may change a result.
   Harness h;
+  const BuffShape one_in_flight{.max_concurrency = 1};
   for (const Variant& v : kVariants) {
-    RunResult serial = h.run_buff(1, v, /*max_concurrency=*/1);
+    RunResult serial = h.run_buff(1, v, one_in_flight);
     EXPECT_FALSE(serial.final_parameters.empty());
     EXPECT_GT(serial.rounds, 0u);
     for (std::size_t threads : {2u, 8u})
-      expect_identical_runs(serial, h.run_buff(threads, v, /*max_concurrency=*/1), v.name);
+      expect_identical_runs(serial, h.run_buff(threads, v, one_in_flight), v.name);
+  }
+}
+
+TEST(ParallelDeterminism, FedBuffStaleDiscardsBitIdenticalAcrossThreadCounts) {
+  // Staleness bound 1 with 12 tasks in flight and a buffer of 4: many
+  // completions are stale and join their update only to throw it away,
+  // while the rest are recorded and folded with staleness weights at
+  // aggregation. Neither path may change a result at any thread count or
+  // over rpc.
+  Harness h;
+  const BuffShape stale{.max_concurrency = 12, .max_staleness = 1};
+  for (const Variant& v : kVariants) {
+    RunResult serial = h.run_buff(1, v, stale);
+    EXPECT_FALSE(serial.final_parameters.empty());
+    EXPECT_GT(serial.rounds, 0u);
+    EXPECT_GT(serial.metrics.tasks_stale(), 0u) << v.name;
+    EXPECT_GT(serial.metrics.tasks_succeeded(), 0u) << v.name;
+    for (std::size_t threads : {2u, 8u})
+      expect_identical_runs(serial, h.run_buff(threads, v, stale), v.name);
+    expect_identical_runs(serial, h.run_buff(1, v, stale, /*loopback=*/true), v.name);
   }
 }
 
