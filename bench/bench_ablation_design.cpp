@@ -253,10 +253,11 @@ void ablate_server_momentum() {
 }
 
 int main(int argc, char** argv) {
-  bench::BenchArtifact artifact(argc, argv, "ablation_design");
-  artifact.set_config_text("ablations: overcommit/staleness/partitioning/hashing/momentum");
+  core::RunSpec spec("ablations: overcommit/staleness/partitioning/hashing/momentum");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "ablation_design");
   g_artifact = &artifact;
-  g_threads = bench::parse_threads(argc, argv);
+  g_threads = spec.threads;
   bench::print_header("Design ablations", "DESIGN.md §5 — the design choices worth measuring");
   ablate_overcommit();
   ablate_staleness_weighting();

@@ -45,9 +45,10 @@ double eval_loss(ml::Model& model, const std::vector<ml::Example>& test,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArtifact artifact(argc, argv, "compression_accuracy");
-  artifact.set_config_text(
+  core::RunSpec spec(
       "compression_accuracy: ads proxy, 200 clients, fedbuff 40 rounds, seed 271");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "compression_accuracy");
   bench::print_header("Compression accuracy: final eval loss vs raw float32",
                       "Same FedBuff job under each wire format; int8 must stay "
                       "within 1% relative eval loss of f32, top-k within 5%");
@@ -68,7 +69,6 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < task_cfg.clients; ++c)
     windows.push_back({c, catalog.sample_device(rng), 0.0, 1e10});
   auto model = task.make_model(rng);
-  std::size_t threads = bench::parse_threads(argc, argv);
 
   struct Scheme {
     const char* name;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   for (const Scheme& scheme : schemes) {
     device::AvailabilityTrace trace(windows);
     fl::AsyncConfig cfg;
-    cfg.inputs.threads = threads;
+    cfg.inputs.threads = spec.threads;
     cfg.inputs.dataset = &task.train;
     cfg.inputs.dense_dim = task.batch_dense_dim();
     cfg.inputs.model_template = model.get();

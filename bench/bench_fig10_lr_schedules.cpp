@@ -10,8 +10,10 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig10_lr_schedules");
-  std::size_t threads = bench::parse_threads(argc, argv);
+  core::RunSpec spec("fig10: ads proxy, 400 clients, fedbuff, 5 trials, seed 1012");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "fig10_lr_schedules");
+  std::size_t threads = spec.threads;
   bench::print_header("Figure 10: AUPR under two exponential-decay LR schedules (N=5)",
                       "Real SGD on the ads-like proxy; per-round AUPR mean +- stdev "
                       "across trials");
@@ -101,7 +103,6 @@ int main(int argc, char** argv) {
     artifact.add_scalar("mean_stdev.schedule_" + std::to_string(schedule_idx), mean_stdev);
     ++schedule_idx;
   }
-  artifact.set_config_text("fig10: ads proxy, 400 clients, fedbuff, 5 trials, seed 1012");
   std::cout << "Paper's observation to check: the good schedule's curves are tighter\n"
                "(lower stdev band) and end higher than the aggressive schedule's.\n";
   return 0;

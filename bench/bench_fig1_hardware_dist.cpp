@@ -23,7 +23,8 @@ void print_distribution(const flint::device::HardwareDistribution& dist,
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig1_hardware_dist");
+  core::RunSpec spec("fig1: 200k users per OS, standard catalog, seed 1006");
+  bench::BenchArtifact artifact(spec, argc, argv, "fig1_hardware_dist");
   bench::print_header("Figure 1: Hardware distribution of the user base (iOS vs Android)",
                       "Sampled from 200k synthetic users per OS; legend shows top models");
 
@@ -39,7 +40,6 @@ int main(int argc, char** argv) {
       device::sampled_hardware_distribution(catalog, device::Os::kAndroid, 200'000, rng);
   print_distribution(android, 6);
 
-  artifact.set_config_text("fig1: 200k users per OS, standard catalog, seed 1006");
   artifact.add_scalar("entropy_bits.ios", ios.entropy_bits);
   artifact.add_scalar("entropy_bits.android", android.entropy_bits);
   artifact.add_scalar("top3_share.ios", ios.top3_share);

@@ -5,7 +5,8 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig2_availability_curve");
+  core::RunSpec spec("fig2: 8000 clients, 7 days, strict criteria, seed 1007");
+  bench::BenchArtifact artifact(spec, argc, argv, "fig2_availability_curve");
   bench::print_header("Figure 2: Normalized device availability over one week",
                       "Hourly available-device counts under strict criteria "
                       "(WiFi + battery>=80% + modern OS), normalized to the weekly peak");
@@ -32,7 +33,6 @@ int main(int argc, char** argv) {
   }
 
   double ratio = trace.peak_to_trough_ratio();
-  artifact.set_config_text("fig2: 8000 clients, 7 days, strict criteria, seed 1007");
   artifact.add_scalar("peak_to_trough_ratio", ratio);
   artifact.add_scalar("hourly_bins", static_cast<double>(normalized.size()));
   std::cout << "\n";

@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig4_device_benchmarks");
+  core::RunSpec spec("fig4: zoo models C and B, 27-device fleet, 5000 records, seed 1008");
+  bench::BenchArtifact artifact(spec, argc, argv, "fig4_device_benchmarks");
   bench::print_header("Figure 4: Per-device training time and CPU for two FL tasks",
                       "Task A := zoo Model C (fast embedding MLP); Task B := zoo "
                       "Model B (sparse-feature MLP); 5000 records per device");
@@ -31,7 +32,6 @@ int main(int argc, char** argv) {
   }
   std::cout << t.render();
 
-  artifact.set_config_text("fig4: zoo models C and B, 27-device fleet, 5000 records, seed 1008");
   artifact.add_scalar("mean_time_s.task_a", fast.mean_time_s);
   artifact.add_scalar("mean_time_s.task_b", slow.mean_time_s);
   artifact.add_scalar("time_ratio", slow.mean_time_s / fast.mean_time_s);

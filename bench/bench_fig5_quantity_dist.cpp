@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig5_quantity_dist");
+  core::RunSpec spec("fig5: 200k-client samples of the Table 2 profiles, seed 1009");
+  bench::BenchArtifact artifact(spec, argc, argv, "fig5_quantity_dist");
   bench::print_header("Figure 5: Client data-quantity distributions (CCDF)",
                       "P(records/client > x) at log-spaced x for datasets A, B, C "
                       "(200k-client samples of the Table 2 profiles)");
@@ -29,17 +30,16 @@ int main(int argc, char** argv) {
   };
 
   util::Rng rng(1009);
-  artifact.set_config_text("fig5: 200k-client samples of the Table 2 profiles, seed 1009");
   std::size_t spec_idx = 0;
-  for (const auto& spec : specs) {
-    auto counts = data::sample_quantity_profile(spec.quantity, rng);
+  for (const auto& profile : specs) {
+    auto counts = data::sample_quantity_profile(profile.quantity, rng);
     std::vector<double> values(counts.begin(), counts.end());
     auto ccdf = util::log_ccdf(values, 14);
     double total = 0.0;
     for (double v : values) total += v;
     artifact.add_scalar("mean_records.dataset_" + std::to_string(spec_idx++),
                         values.empty() ? 0.0 : total / static_cast<double>(values.size()));
-    std::cout << "dataset " << spec.name << ":\n";
+    std::cout << "dataset " << profile.name << ":\n";
     std::cout << "  records/client: ";
     for (const auto& p : ccdf) std::printf("%9.3g", p.value);
     std::cout << "\n  P(X > x):       ";

@@ -7,8 +7,10 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig7_buffer_size");
-  std::size_t threads = bench::parse_threads(argc, argv);
+  core::RunSpec spec("fig7: 20k clients, model-free fedbuff, concurrency 180, seed 11");
+  spec.with_threads().with_checkpoints(10).with_rpc();
+  bench::BenchArtifact artifact(spec, argc, argv, "fig7_buffer_size");
+  std::size_t threads = spec.threads;
   bench::print_header("Figure 7: Buffer size vs buffer-fill duration (max concurrency = 180)",
                       "Model-free FedBuff; ads-like workload; mean seconds per "
                       "aggregation across the run");
@@ -52,10 +54,8 @@ int main(int argc, char** argv) {
     cfg.max_staleness = 100;
     // Crash-safety plumbing for the representative (largest-buffer) run only:
     // one checkpoint lineage per store, and the sweep varies the config.
-    auto checkpoints = buffer == 180u
-                           ? bench::wire_checkpoint_args(argc, argv, cfg.inputs)
-                           : nullptr;
-    auto rpc = buffer == 180u ? bench::wire_rpc_args(argc, argv, cfg.inputs) : nullptr;
+    auto checkpoints = buffer == 180u ? spec.open_checkpoints(cfg.inputs) : nullptr;
+    auto rpc = buffer == 180u ? spec.start_rpc(cfg.inputs) : nullptr;
     fl::RunResult r = fl::run_fedbuff(cfg);
     double fill = r.metrics.mean_round_duration_s();
     series.push_back({buffer, fill});
@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
                util::Table::num(static_cast<double>(r.rounds)),
                util::Table::count(static_cast<std::int64_t>(r.metrics.tasks_started()))});
   }
-  artifact.set_config_text("fig7: 20k clients, model-free fedbuff, concurrency 180, seed 11");
   std::cout << t.render();
 
   bool monotone = true;

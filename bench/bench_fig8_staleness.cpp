@@ -7,8 +7,10 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "fig8_staleness");
-  std::size_t threads = bench::parse_threads(argc, argv);
+  core::RunSpec spec("fig8: 40k clients, model-free fedbuff grid, seed 21");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "fig8_staleness");
+  std::size_t threads = spec.threads;
   bench::print_header("Figure 8: Task outcomes vs concurrency and max staleness",
                       "FedBuff over realistic (short-window) availability; fixed "
                       "aggregation budget per cell");
@@ -85,7 +87,6 @@ int main(int argc, char** argv) {
                  util::Table::pct(m.waste_fraction())});
     }
   }
-  artifact.set_config_text("fig8: 40k clients, model-free fedbuff grid, seed 21");
   std::cout << t.render();
   std::cout << "\nPaper trends to check: (1) started and wasted tasks grow with\n"
                "concurrency; (2) stale tasks shrink as the staleness limit rises.\n";

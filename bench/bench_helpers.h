@@ -3,10 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -14,15 +11,13 @@
 
 #include "flint/core/platform.h"
 #include "flint/core/run_artifact.h"
+#include "flint/core/run_spec.h"
 #include "flint/data/proxy_generator.h"
 #include "flint/device/availability.h"
 #include "flint/device/session_generator.h"
 #include "flint/fl/fedavg.h"
 #include "flint/fl/fedbuff.h"
-#include "flint/fl/rpc_runtime.h"
-#include "flint/ml/kernels/kernels.h"
 #include "flint/obs/telemetry.h"
-#include "flint/store/checkpoint.h"
 #include "flint/util/table.h"
 
 namespace flint::bench {
@@ -35,15 +30,9 @@ namespace flint::bench {
 /// timings stay comparable.
 class BenchTelemetry {
  public:
-  BenchTelemetry(int argc, char** argv) {
-    obs::TelemetryConfig config;
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--trace-out") == 0) config.trace_out = argv[i + 1];
-      if (std::strcmp(argv[i], "--metrics-out") == 0) config.metrics_out = argv[i + 1];
-    }
-    if (config.trace_out.empty() && config.metrics_out.empty()) return;
-    config.tracing_enabled = !config.trace_out.empty();
-    telemetry_.emplace(config);
+  explicit BenchTelemetry(const core::RunSpec& spec) {
+    if (!spec.telemetry.enabled()) return;
+    telemetry_.emplace(spec.telemetry);
     scope_.emplace(&*telemetry_);
   }
 
@@ -59,17 +48,17 @@ class BenchTelemetry {
   BenchTelemetry(const BenchTelemetry&) = delete;
   BenchTelemetry& operator=(const BenchTelemetry&) = delete;
 
-  obs::Telemetry* telemetry() { return telemetry_.has_value() ? &*telemetry_ : nullptr; }
-
  private:
   std::optional<obs::Telemetry> telemetry_;
   std::optional<obs::ScopedTelemetry> scope_;
 };
 
-/// Every bench binary's regression interface: declare one of these at the
-/// top of main and it writes a schema-versioned core::RunArtifact JSON on
-/// exit — `BENCH_<name>.json` in the working directory, or wherever
-/// `--artifact-out path` points. Benches feed it their headline numbers via
+/// Every bench binary's regression interface and command line: declare one
+/// of these at the top of main, after the spec's own flags. It adds
+/// `--artifact-out path` (default `BENCH_<name>.json`) and `--kernels`,
+/// parses argv (usage and exit 2 on a bad flag), and writes a
+/// schema-versioned core::RunArtifact JSON on exit, fingerprinting the
+/// spec's config_text. Benches feed it their headline numbers via
 /// add_scalar(), and FL-running benches hand over a representative RunResult
 /// via set_run() so model/system/ledger sections are populated too.
 /// tools/flint_compare.py diffs two such artifacts; the CI smoke-bench job
@@ -77,15 +66,12 @@ class BenchTelemetry {
 /// bench_*.cpp declares one.)
 class BenchArtifact {
  public:
-  BenchArtifact(int argc, char** argv, std::string name) {
+  BenchArtifact(core::RunSpec& spec, int argc, char** argv, std::string name) {
     inputs_.name = std::move(name);
-    path_ = "BENCH_" + inputs_.name + ".json";
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--artifact-out") == 0) path_ = argv[i + 1];
-      // Every bench declares a BenchArtifact (lint-enforced), so parsing the
-      // kernel-path pin here gives the whole bench suite `--kernels` at once.
-      if (std::strcmp(argv[i], "--kernels") == 0) ml::kernels::set_path(argv[i + 1]);
-    }
+    spec.with_artifact("BENCH_" + inputs_.name + ".json").with_kernels();
+    spec.parse_or_exit(argc, argv);
+    path_ = spec.artifact_out;
+    inputs_.config_text = spec.config_text();
     start_ = std::chrono::steady_clock::now();
   }
 
@@ -112,15 +98,11 @@ class BenchArtifact {
     run_ = run;
     inputs_.metric_name = metric_name;
   }
-  /// Config text to fingerprint (so compare can flag setup drift).
-  void set_config_text(std::string text) { inputs_.config_text = std::move(text); }
   void set_forecast(const core::ResourceForecast& forecast) { forecast_ = forecast; }
   /// One named headline number (fill time, pass fraction, speedup, ...).
   void add_scalar(const std::string& name, double value) {
     inputs_.scalars.emplace_back(name, value);
   }
-
-  const std::string& path() const { return path_; }
 
  private:
   core::RunArtifactInputs inputs_;
@@ -129,72 +111,6 @@ class BenchArtifact {
   std::string path_;
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Parse `--threads N`: worker threads for client training and evaluation
-/// (fl::RunInputs::threads). Defaults to 1 (serial). Results are
-/// bit-identical at any value — the knob trades wall time only — which is
-/// why it never belongs in an artifact's config_text.
-inline std::size_t parse_threads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      long v = std::strtol(argv[i + 1], nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-  }
-  return 1;
-}
-
-/// Parse `--checkpoint-dir dir [--checkpoint-every N] [--resume]` and wire
-/// them into the run's inputs: the returned store (kept alive by the caller)
-/// receives periodic checkpoints, and with --resume the run restarts from its
-/// newest valid one, finishing bit-identically to an uninterrupted run
-/// (DESIGN.md §12). Returns null — and leaves the inputs untouched — when
-/// --checkpoint-dir is absent, so default bench timings are unaffected.
-inline std::unique_ptr<store::CheckpointStore> wire_checkpoint_args(int argc, char** argv,
-                                                                    fl::RunInputs& inputs) {
-  std::string dir;
-  std::uint64_t every = 10;
-  bool resume = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) dir = argv[i + 1];
-    if (std::strcmp(argv[i], "--checkpoint-every") == 0 && i + 1 < argc)
-      every = std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strcmp(argv[i], "--resume") == 0) resume = true;
-  }
-  if (dir.empty()) return nullptr;
-  // Heap-allocated because CheckpointStore owns a mutex and is immovable.
-  auto checkpoints = std::make_unique<store::CheckpointStore>(dir);
-  inputs.leader.checkpoint_every_rounds = every;
-  inputs.leader.checkpoint_store = checkpoints.get();
-  if (resume) inputs.resume_from = checkpoints.get();
-  return checkpoints;
-}
-
-/// Parse `--transport mode [--rpc-executors N] [--executor-bin path]
-/// [--rpc-dir dir]` and stand up the rpc leader/executor runtime for the
-/// run (DESIGN.md §14). Call after `inputs` is fully populated (the model
-/// blob ships in the RegisterAck); the returned runtime must outlive the
-/// run. Returns null — and leaves the inputs untouched — without
-/// --transport (or with --transport inprocess), so default bench timings
-/// are unaffected. Like --threads, the knob changes wall time only: results
-/// stay bit-identical, so it never belongs in an artifact's config_text.
-inline std::unique_ptr<fl::RpcRuntime> wire_rpc_args(int argc, char** argv,
-                                                     fl::RunInputs& inputs) {
-  fl::RpcRuntimeConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc)
-      cfg.kind = fl::parse_transport(argv[i + 1]);
-    if (std::strcmp(argv[i], "--rpc-executors") == 0 && i + 1 < argc)
-      cfg.executors = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    if (std::strcmp(argv[i], "--executor-bin") == 0 && i + 1 < argc)
-      cfg.executor_bin = argv[i + 1];
-    if (std::strcmp(argv[i], "--rpc-dir") == 0 && i + 1 < argc) cfg.socket_dir = argv[i + 1];
-  }
-  if (cfg.kind == fl::TransportKind::kInProcess) return nullptr;
-  auto runtime = std::make_unique<fl::RpcRuntime>(cfg, inputs);
-  inputs.rpc_leader = runtime->leader();
-  return runtime;
-}
 
 /// The paper's strict participation criteria (§4.1): foreground app,
 /// battery > 80%, WiFi, and a modern OS.

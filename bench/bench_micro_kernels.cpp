@@ -603,20 +603,13 @@ void run_crc32_sweep(flint::bench::BenchArtifact& artifact) {
 }  // namespace
 
 // Hand-rolled BENCHMARK_MAIN so the binary also emits a run artifact: the
-// --artifact-out and --kernels flags are consumed by BenchArtifact and hidden
-// from google-benchmark's flag parser (which rejects flags it does not know).
+// run spec claims --artifact-out and --kernels and hands every other argument
+// to google-benchmark's flag parser (which rejects flags it does not know).
 int main(int argc, char** argv) {
-  flint::bench::BenchArtifact artifact(argc, argv, "micro_kernels");
-  artifact.set_config_text("micro_kernels: google-benchmark hot-path kernels");
+  flint::core::RunSpec spec("micro_kernels: google-benchmark hot-path kernels");
   std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (i + 1 < argc && (std::strcmp(argv[i], "--artifact-out") == 0 ||
-                         std::strcmp(argv[i], "--kernels") == 0)) {
-      ++i;  // skip the flag and its value
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  spec.pass_unknown_to(&args);
+  flint::bench::BenchArtifact artifact(spec, argc, argv, "micro_kernels");
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) return 1;

@@ -61,15 +61,16 @@ struct Workbench {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArtifact artifact(argc, argv, "privacy_tradeoffs");
-  artifact.set_config_text("privacy: DP noise sweep + compression sweep, seed 1013");
+  core::RunSpec spec("privacy: DP noise sweep + compression sweep, seed 1013");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "privacy_tradeoffs");
   bench::print_header("Privacy & communication trade-offs (paper Section 3.6)",
                       "FL-DP noise sweep and update-compression sweep on an ads-like "
                       "task; median of 3 trials per cell");
 
   util::Rng rng(1013);
   Workbench wb(rng);
-  wb.threads = bench::parse_threads(argc, argv);
+  wb.threads = spec.threads;
   auto model = wb.task.make_model(rng);
 
   // --- Sweep 1: FL-DP. -----------------------------------------------------

@@ -16,7 +16,6 @@
 
 #include "bench_helpers.h"
 #include "flint/device/session_stream.h"
-#include "flint/util/check.h"
 
 namespace {
 
@@ -24,31 +23,13 @@ using namespace flint;
 
 struct ScaleOptions {
   std::size_t clients = 1'000'000;
-  int days = 2;
+  std::uint32_t days = 2;
   double sessions_per_day = 1.5;
   std::string mode = "stream";  // stream | materialized
   std::size_t chunk_clients = 16'384;
   std::string spill_dir;
   std::uint64_t seed = 17;
 };
-
-ScaleOptions parse_options(int argc, char** argv) {
-  ScaleOptions o;
-  for (int i = 1; i < argc; ++i) {
-    auto has_value = [&](const char* flag) { return std::strcmp(argv[i], flag) == 0 && i + 1 < argc; };
-    if (has_value("--clients")) o.clients = std::strtoull(argv[i + 1], nullptr, 10);
-    if (has_value("--days")) o.days = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
-    if (has_value("--sessions-per-day")) o.sessions_per_day = std::strtod(argv[i + 1], nullptr);
-    if (has_value("--mode")) o.mode = argv[i + 1];
-    if (has_value("--chunk-clients")) o.chunk_clients = std::strtoull(argv[i + 1], nullptr, 10);
-    if (has_value("--spill-dir")) o.spill_dir = argv[i + 1];
-    if (has_value("--seed")) o.seed = std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  FLINT_CHECK_MSG(o.mode == "stream" || o.mode == "materialized",
-                  "--mode must be stream or materialized, got " << o.mode);
-  FLINT_CHECK_GT(o.clients, std::size_t{0});
-  return o;
-}
 
 /// Peak resident set (VmHWM) in MiB from /proc/self/status; 0 where the
 /// proc filesystem is unavailable (non-linux), which also zeroes the
@@ -99,7 +80,7 @@ ScaleRun run_population(const ScaleOptions& opt, std::size_t clients, std::size_
                         const net::BandwidthModel& bandwidth) {
   device::SessionStreamConfig stream_cfg;
   stream_cfg.generator.clients = clients;
-  stream_cfg.generator.days = opt.days;
+  stream_cfg.generator.days = static_cast<int>(opt.days);
   stream_cfg.generator.sessions_per_day = opt.sessions_per_day;
   stream_cfg.clients_per_chunk = opt.chunk_clients;
   stream_cfg.spill_dir = opt.spill_dir;
@@ -152,10 +133,24 @@ ScaleRun run_population(const ScaleOptions& opt, std::size_t clients, std::size_
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "scale");
-  bench::BenchTelemetry telemetry(argc, argv);
-  ScaleOptions opt = parse_options(argc, argv);
-  std::size_t threads = bench::parse_threads(argc, argv);
+  // --mode, --chunk-clients and --spill-dir trade memory and wall time only:
+  // results are bit-identical across them (the scale_smoke gate).
+  ScaleOptions opt;
+  core::RunSpec spec(
+      "scale: model-free fedbuff, buffer 64, concurrency 256, require_wifi, min_session_s 60");
+  spec.flag("clients", core::FlagKind::kResult, &opt.clients, 1)
+      .flag("days", core::FlagKind::kResult, &opt.days, 1, std::numeric_limits<int>::max())
+      .flag("sessions-per-day", core::FlagKind::kResult, &opt.sessions_per_day, 0.0,
+            std::numeric_limits<double>::max())
+      .flag("seed", core::FlagKind::kResult, &opt.seed, 0)
+      .flag("mode", core::FlagKind::kWallTime, &opt.mode, "stream|materialized")
+      .flag("chunk-clients", core::FlagKind::kWallTime, &opt.chunk_clients, 1)
+      .flag("spill-dir", core::FlagKind::kWallTime, &opt.spill_dir, "DIR")
+      .with_threads()
+      .with_telemetry(false);
+  bench::BenchArtifact artifact(spec, argc, argv, "scale");
+  bench::BenchTelemetry telemetry(spec);
+  const std::size_t threads = spec.threads;
   bench::print_header("Scale-out: population size vs resident memory (DESIGN.md §17)",
                       "Model-free FedBuff, buffer 64, concurrency 256, " + opt.mode +
                           " trace of " + std::to_string(opt.clients) + " clients over " +
@@ -212,11 +207,5 @@ int main(int argc, char** argv) {
   artifact.add_scalar("rss.full_peak_mib", full_peak);
   artifact.add_scalar("rss.growth_ratio", growth);
   artifact.set_run(r, "none (model-free)");
-  // --mode / --chunk-clients / --spill-dir trade memory and wall time only —
-  // results are bit-identical (the scale_smoke gate) — so like --threads
-  // they stay out of the config fingerprint.
-  artifact.set_config_text("scale: " + std::to_string(opt.clients) + " clients, " +
-                           std::to_string(opt.days) + " days, buffer 64, " +
-                           "concurrency 256, seed " + std::to_string(opt.seed));
   return 0;
 }

@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "table1_availability");
+  core::RunSpec spec("table1: 2-week log, 6000 clients, seed 1001");
+  bench::BenchArtifact artifact(spec, argc, argv, "table1_availability");
   bench::print_header(
       "Table 1: Device availability under participation criteria",
       "2-week synthetic session log, 6000 clients, duration-weighted fractions");
@@ -31,7 +32,6 @@ int main(int argc, char** argv) {
   double fb = device::criteria_pass_fraction(log, battery, catalog);
   double fc = device::criteria_pass_fraction(log, os, catalog);
   double fall = device::criteria_pass_fraction(log, all, catalog);
-  artifact.set_config_text("table1: 2-week log, 6000 clients, seed 1001");
   artifact.add_scalar("pass_fraction.wifi", fa);
   artifact.add_scalar("pass_fraction.battery", fb);
   artifact.add_scalar("pass_fraction.os", fc);

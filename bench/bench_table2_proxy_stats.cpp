@@ -27,7 +27,8 @@ struct ProfileSpec {
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "table2_proxy_stats");
+  core::RunSpec spec("table2: full-population quantity profiles, seed 1002");
+  bench::BenchArtifact artifact(spec, argc, argv, "table2_proxy_stats");
   bench::print_header("Table 2: Proxy dataset characteristics",
                       "Quantity profiles sampled at full population scale; "
                       "moments calibrated to the paper's per-dataset statistics");
@@ -50,21 +51,21 @@ int main(int argc, char** argv) {
   util::Table t({"", "CLIENT POP.", "MAX RECORDS", "AVG RECORDS", "STD RECORDS",
                  "LABEL RATIO", "LOOKBACK DAYS"});
   util::Rng rng(1002);
-  artifact.set_config_text("table2: full-population quantity profiles, seed 1002");
   std::size_t spec_idx = 0;
-  for (const auto& spec : specs) {
-    auto counts = data::sample_quantity_profile(spec.quantity, rng);
-    auto stats =
-        data::compute_stats_from_counts(counts, spec.label_ratio, spec.name, spec.lookback_days);
+  for (const auto& profile : specs) {
+    auto counts = data::sample_quantity_profile(profile.quantity, rng);
+    auto stats = data::compute_stats_from_counts(counts, profile.label_ratio, profile.name,
+                                                 profile.lookback_days);
     std::string key = "dataset_" + std::to_string(spec_idx++);
     artifact.add_scalar("avg_records." + key, stats.avg_records);
     artifact.add_scalar("std_records." + key, stats.std_records);
     artifact.add_scalar("max_records." + key, static_cast<double>(stats.max_records));
-    t.add_row({spec.name, util::Table::count(static_cast<std::int64_t>(stats.client_population)),
+    t.add_row({profile.name,
+               util::Table::count(static_cast<std::int64_t>(stats.client_population)),
                util::Table::count(static_cast<std::int64_t>(stats.max_records)),
                util::Table::num(stats.avg_records, 2), util::Table::num(stats.std_records, 1),
                util::Table::num(stats.label_ratio, 2), util::Table::num(stats.lookback_days)});
-    bench::print_compare(spec.name, spec.paper_row, "see table row");
+    bench::print_compare(profile.name, profile.paper_row, "see table row");
   }
   std::cout << "\n" << t.render();
   return 0;

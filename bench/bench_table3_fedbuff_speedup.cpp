@@ -85,9 +85,12 @@ ModeResult run_mode(const TaskSpec& spec, bool async, std::size_t threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchTelemetry profiling(argc, argv);
-  bench::BenchArtifact artifact(argc, argv, "table3_fedbuff_speedup");
-  std::size_t threads = bench::parse_threads(argc, argv);
+  core::RunSpec spec("table3: model-free sync-vs-async, 3 workloads, seed 7/1003; "
+                     "model-full fedbuff ads-400 seed 7");
+  spec.with_threads().with_checkpoints(10).with_rpc().with_telemetry(false);
+  bench::BenchArtifact artifact(spec, argc, argv, "table3_fedbuff_speedup");
+  bench::BenchTelemetry profiling(spec);
+  std::size_t threads = spec.threads;
   bench::print_header("Table 3: Projected FedBuff speedup over FedAvg",
                       "Model-free system simulation; convergence proxy = fixed "
                       "aggregation count per task; async concurrency exceeds the "
@@ -204,10 +207,10 @@ int main(int argc, char** argv) {
     // Opt-in crash-safety plumbing for the representative model-full run:
     // --checkpoint-dir enables periodic checkpoints, --resume restarts from
     // the newest one (bit-identical to an uninterrupted run, DESIGN.md §12).
-    auto checkpoints = bench::wire_checkpoint_args(argc, argv, cfg.inputs);
+    auto checkpoints = spec.open_checkpoints(cfg.inputs);
     // --transport moves the local SGD onto rpc executors; the simulated
     // quantities (and the artifact) stay bit-identical, like --threads.
-    auto rpc = bench::wire_rpc_args(argc, argv, cfg.inputs);
+    auto rpc = spec.start_rpc(cfg.inputs);
 
     auto wall_start = std::chrono::steady_clock::now();
     fl::RunResult r = fl::run_fedbuff(cfg);
@@ -226,8 +229,6 @@ int main(int argc, char** argv) {
               << "  rounds=" << r.rounds << "  tasks=" << r.metrics.tasks_started() << "\n";
   }
 
-  artifact.set_config_text("table3: model-free sync-vs-async, 3 workloads, seed 7/1003; "
-                           "model-full fedbuff ads-400 seed 7");
   std::cout << "\n" << t.render();
   std::cout << "\nNote: client populations are scaled down from the paper's production\n"
                "universe (millions of devices) to keep this bench laptop-fast; the\n"

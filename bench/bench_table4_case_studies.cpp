@@ -39,8 +39,10 @@ struct CaseSpec {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArtifact artifact(argc, argv, "table4_case_studies");
-  std::size_t threads = bench::parse_threads(argc, argv);
+  core::RunSpec spec("table4: 3 case studies, N=5 trials, platform seed 1004");
+  spec.with_threads();
+  bench::BenchArtifact artifact(spec, argc, argv, "table4_case_studies");
+  std::size_t threads = spec.threads;
   bench::print_header("Table 4: Projected FL training time and performance vs centralized",
                       "Real SGD on synthetic non-IID proxies under a 2-week synthetic "
                       "availability trace; N=5 trials (paper: N=15)");
@@ -199,7 +201,6 @@ int main(int argc, char** argv) {
     std::cout << data::domain_name(spec.domain)
               << ": forecast -> " << result.forecast.summary() << "\n";
   }
-  artifact.set_config_text("table4: 3 case studies, N=5 trials, platform seed 1004");
   std::cout << "\n" << t.render();
   std::cout << "\nReproduction notes: all three cases land in the paper's regime —\n"
                "FL slightly below centralized, with ads slowest and search fastest\n"

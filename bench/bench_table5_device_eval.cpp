@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
-  bench::BenchArtifact artifact(argc, argv, "table5_device_eval");
+  core::RunSpec spec("table5: zoo models A-E over 27-device fleet, seed 1005");
+  bench::BenchArtifact artifact(spec, argc, argv, "table5_device_eval");
   bench::print_header("Table 5: On-device evaluation of Models A-E",
                       "27-device fleet simulation, 5000 records per run; params are "
                       "measured from the real models; host column is real wall-clock");
@@ -30,7 +31,6 @@ int main(int argc, char** argv) {
   util::Table t({"Model", "Description", "Trainable Params", "Storage (MB)", "Network (MB)",
                  "Memory (MB)", "Mean Time (s)", "Stdev Time (s)", "Mean CPU (%)",
                  "Host 500-rec (s)"});
-  artifact.set_config_text("table5: zoo models A-E over 27-device fleet, seed 1005");
   for (const auto& spec : ml::model_zoo()) {
     auto model = ml::build_zoo_model(spec.id, rng);
     auto report = device::simulate_fleet_benchmark(spec, catalog, 5000, rng);

@@ -1,5 +1,5 @@
 // FLINT quickstart: evaluate whether a small ads-style model is worth moving
-// to cross-device federated learning — in about 80 lines.
+// to cross-device federated learning, start to finish in one main().
 //
 //   1. Benchmark the candidate model across the device fleet.
 //   2. Generate an availability trace from (synthetic) session logs under
@@ -17,8 +17,6 @@
 // each spawned executor write their own trace into it, ready for
 // tools/flint_trace_merge.py (DESIGN.md §15). --status-out streams live
 // fleet status JSONL for tools/flint_top.py.
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -28,127 +26,49 @@
 #include "flint/core/platform.h"
 #include "flint/core/report.h"
 #include "flint/core/run_artifact.h"
+#include "flint/core/run_spec.h"
 #include "flint/data/synthetic_tasks.h"
-#include "flint/fl/rpc_runtime.h"
-#include "flint/ml/kernels/kernels.h"
 #include "flint/net/bandwidth_model.h"
 #include "flint/obs/telemetry.h"
-#include "flint/store/checkpoint.h"
 
 int main(int argc, char** argv) {
   using namespace flint;
 
-  std::string trace_out;
-  std::string metrics_out;
-  std::string status_out;
-  std::string artifact_out = "quickstart_report/run_artifact.json";
-  std::string checkpoint_dir = "quickstart_report/checkpoints";
-  std::uint64_t checkpoint_every = 10;
-  bool explicit_checkpoint_dir = false;
-  bool resume = false;
-  std::size_t threads = 1;
-  std::string transport = "inprocess";
-  std::size_t rpc_executors = 2;
-  std::string executor_bin;
-  std::string rpc_dir = ".";
-  std::string kernels_spec;
+  // Compression is the one flag that changes results (a lossy update round
+  // trip), so it alone joins the fixed description in the fingerprint.
   std::string compression = "none";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--status-out") == 0 && i + 1 < argc) {
-      status_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--artifact-out") == 0 && i + 1 < argc) {
-      artifact_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-      explicit_checkpoint_dir = true;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 && i + 1 < argc) {
-      checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
-      transport = argv[++i];
-    } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      transport = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--rpc-executors") == 0 && i + 1 < argc) {
-      rpc_executors = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--executor-bin") == 0 && i + 1 < argc) {
-      executor_bin = argv[++i];
-    } else if (std::strcmp(argv[i], "--rpc-dir") == 0 && i + 1 < argc) {
-      rpc_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--kernels") == 0 && i + 1 < argc) {
-      kernels_spec = argv[++i];
-    } else if (std::strncmp(argv[i], "--kernels=", 10) == 0) {
-      kernels_spec = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--compression") == 0 && i + 1 < argc) {
-      compression = argv[++i];
-    } else if (std::strncmp(argv[i], "--compression=", 14) == 0) {
-      compression = argv[i] + 14;
-    } else {
-      std::cerr << "usage: quickstart [--trace-out trace.json] [--metrics-out metrics.jsonl]"
-                   " [--status-out status.jsonl]"
-                   " [--artifact-out artifact.json] [--checkpoint-dir dir]"
-                   " [--checkpoint-every N] [--resume] [--threads N]"
-                   " [--transport inprocess|loopback|unix|tcp] [--rpc-executors N]"
-                   " [--executor-bin path] [--rpc-dir dir]"
-                   " [--kernels auto|scalar|avx2|neon] [--compression none|int8|topk]\n";
-      return 2;
-    }
-  }
-  // Pin the kernel path before any training work; the RPC runtime forwards
-  // the spec to spawned executors so the fleet shares one set of numerics.
-  if (!kernels_spec.empty()) {
-    try {
-      ml::kernels::set_path(kernels_spec);
-    } catch (const util::CheckError& e) {
-      std::cerr << "quickstart: " << e.what() << "\n";
-      return 2;
-    }
-  }
+  core::RunSpec spec("quickstart: ads proxy, 500 clients, fedbuff, seed 42");
+  spec.flag("compression", core::FlagKind::kResult, &compression, "none|int8|topk")
+      .with_threads()
+      .with_kernels()
+      .with_telemetry(/*status=*/true)
+      .with_artifact("quickstart_report/run_artifact.json")
+      .with_checkpoints(10)
+      .with_rpc();
+  spec.parse_or_exit(argc, argv);
+
   compress::CompressionConfig compression_cfg;
-  if (compression == "int8") {
-    compression_cfg.kind = compress::CompressionKind::kInt8;
-  } else if (compression == "topk") {
-    compression_cfg.kind = compress::CompressionKind::kTopK;
-  } else if (compression != "none") {
-    std::cerr << "quickstart: unknown --compression '" << compression
-              << "' (expected none|int8|topk)\n";
-    return 2;
-  }
+  if (compression == "int8") compression_cfg.kind = compress::CompressionKind::kInt8;
+  if (compression == "topk") compression_cfg.kind = compress::CompressionKind::kTopK;
   // A checkpoint lineage belongs to one (seed, config) run, and the multi-
-  // trial sweep varies the seed per trial — so an explicit store, or a
-  // resume from one, pins the study to a single trial (DESIGN.md §12).
-  const int trials = (resume || explicit_checkpoint_dir) ? 1 : 3;
-  const fl::TransportKind transport_kind = fl::parse_transport(transport);
-  const bool multiproc = transport_kind == fl::TransportKind::kUnix ||
-                         transport_kind == fl::TransportKind::kTcp;
-  const bool telemetry_on =
-      !trace_out.empty() || !metrics_out.empty() || !status_out.empty();
-  if (telemetry_on && metrics_out.empty()) metrics_out = "quickstart_metrics.jsonl";
+  // trial sweep varies the seed per trial — so an explicit --checkpoint-dir,
+  // or a resume, pins the study to a single trial (DESIGN.md §12).
+  const int trials = (spec.resume || !spec.checkpoint_dir.empty()) ? 1 : 3;
+  if (spec.checkpoint_dir.empty()) spec.checkpoint_dir = "quickstart_report/checkpoints";
+  obs::TelemetryConfig telemetry_cfg = spec.telemetry;
+  const bool telemetry_on = telemetry_cfg.metrics_enabled;
+  if (telemetry_on && telemetry_cfg.metrics_out.empty())
+    telemetry_cfg.metrics_out = "quickstart_metrics.jsonl";
 
   // Multi-process tracing fans out per process: --trace-out names a run
   // directory; the leader writes leader.trace.json and each executor child
   // writes executor-<i>.trace.json beside it (DESIGN.md §15).
-  std::string trace_dir;
-  std::string leader_trace_out = trace_out;
-  if (multiproc && !trace_out.empty()) {
-    trace_dir = trace_out;
-    std::filesystem::create_directories(trace_dir);
-    leader_trace_out = trace_dir + "/leader.trace.json";
+  if ((spec.rpc.kind == fl::TransportKind::kUnix || spec.rpc.kind == fl::TransportKind::kTcp) &&
+      !spec.telemetry.trace_out.empty()) {
+    spec.rpc.trace_dir = spec.telemetry.trace_out;
+    std::filesystem::create_directories(spec.rpc.trace_dir);
+    telemetry_cfg.trace_out = spec.rpc.trace_dir + "/leader.trace.json";
   }
-
-  obs::TelemetryConfig telemetry_cfg;
-  telemetry_cfg.metrics_enabled = telemetry_on;
-  telemetry_cfg.tracing_enabled = !trace_out.empty();
-  telemetry_cfg.trace_out = leader_trace_out;
-  telemetry_cfg.metrics_out = metrics_out;
-  telemetry_cfg.status_out = status_out;
   obs::Telemetry telemetry(telemetry_cfg);
   // Ambient for the whole example so the pre-training sections (feature
   // cache replay below) record too, not just the FL trials.
@@ -207,7 +127,7 @@ int main(int argc, char** argv) {
   fl::AsyncConfig fl_cfg;
   // Parallel client training: results are bit-identical at any --threads
   // value, only the wall time changes (DESIGN.md §11).
-  fl_cfg.inputs.threads = threads;
+  fl_cfg.inputs.threads = spec.threads;
   fl_cfg.inputs.dataset = &task.train;
   fl_cfg.inputs.dense_dim = task.batch_dense_dim();
   fl_cfg.inputs.model_template = model.get();
@@ -227,23 +147,12 @@ int main(int argc, char** argv) {
   // profiling run its checkpoint-latency series. With --resume the run
   // restarts from the newest valid checkpoint in the store and finishes
   // bit-identically to an uninterrupted run (DESIGN.md §12).
-  store::CheckpointStore checkpoints(checkpoint_dir);
-  fl_cfg.inputs.leader.checkpoint_every_rounds = checkpoint_every;
-  fl_cfg.inputs.leader.checkpoint_store = &checkpoints;
-  if (resume) fl_cfg.inputs.resume_from = &checkpoints;
-
+  auto checkpoints = spec.open_checkpoints(fl_cfg.inputs);
   // Multi-process (or loopback) execution: training leases go to registered
   // executors instead of in-process threads. Like --threads, this changes
-  // wall time only — the artifact stays bit-identical to inprocess, so the
-  // config fingerprint above is untouched (DESIGN.md §14).
-  fl::RpcRuntimeConfig rpc_cfg;
-  rpc_cfg.kind = transport_kind;
-  rpc_cfg.executors = rpc_executors;
-  rpc_cfg.executor_bin = executor_bin;
-  rpc_cfg.socket_dir = rpc_dir;
-  rpc_cfg.trace_dir = trace_dir;
-  fl::RpcRuntime rpc_runtime(rpc_cfg, fl_cfg.inputs);
-  fl_cfg.inputs.rpc_leader = rpc_runtime.leader();
+  // wall time only — the artifact stays bit-identical to inprocess
+  // (DESIGN.md §14).
+  auto rpc_runtime = spec.start_rpc(fl_cfg.inputs);
 
   // --- 4. FL vs centralized, with a resource forecast. --------------------
   core::ForecastConfig forecast;
@@ -251,7 +160,7 @@ int main(int argc, char** argv) {
   auto result = platform.evaluate_case_study(task, fl_cfg, trials,
                                              /*centralized_epochs=*/5, forecast);
 
-  if (resume && !result.fl_trials.trials.empty() &&
+  if (spec.resume && !result.fl_trials.trials.empty() &&
       result.fl_trials.trials[0].resume_count > 0) {
     std::cout << "\nResumed from checkpoint round "
               << result.fl_trials.trials[0].resumed_from_round << " (resume #"
@@ -291,25 +200,23 @@ int main(int argc, char** argv) {
   artifact.name = "quickstart";
   artifact.metric_name = task.metric_name();
   artifact.forecast = &result.forecast;
-  // Compression is part of the config fingerprint: it changes the numerics
-  // (lossy update round trip), unlike --threads/--transport/--kernels-on-a-
-  // pinned-path which only change wall time.
-  artifact.config_text =
-      "quickstart: ads proxy, 500 clients, fedbuff, seed 42, compression=" + compression;
+  artifact.config_text = spec.config_text();
   artifact.scalars = {{"centralized_metric", result.centralized_metric},
                       {"fl_metric_median", result.fl_metric},
                       {"performance_diff_pct", result.performance_diff_pct}};
-  core::write_run_artifact(artifact_out, artifact);
-  std::cout << "Run artifact written to " << artifact_out << "\n";
+  core::write_run_artifact(spec.artifact_out, artifact);
+  std::cout << "Run artifact written to " << spec.artifact_out << "\n";
 
   if (telemetry_on) {
     telemetry.snapshot_now();
     telemetry.export_all();
     std::cout << "Telemetry: " << telemetry.metrics().series_count() << " metric series";
-    if (!metrics_out.empty()) std::cout << " -> " << metrics_out;
-    if (!trace_out.empty())
-      std::cout << "; " << telemetry.tracer().event_count() << " trace spans -> " << trace_out;
-    if (!status_out.empty()) std::cout << "; live status -> " << status_out;
+    std::cout << " -> " << telemetry_cfg.metrics_out;
+    if (!spec.telemetry.trace_out.empty())
+      std::cout << "; " << telemetry.tracer().event_count() << " trace spans -> "
+                << spec.telemetry.trace_out;
+    if (!spec.telemetry.status_out.empty())
+      std::cout << "; live status -> " << spec.telemetry.status_out;
     std::cout << "\n";
   }
   return 0;

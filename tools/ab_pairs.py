@@ -13,7 +13,9 @@ first in even pairs and the head first in odd ones, so neither side always
 runs on a machine the other has just warmed.
 
 The result goes to BENCH_ab_<W>.json in the current directory. For each
-end-to-end metric of BENCHMARK.json it holds both sides' runs, medians and
+end-to-end metric of BENCHMARK.json (with --trace 1, each per-layer metric
+both sides report instead: a traced run reports only those) it holds both
+sides' runs, medians and
 quartiles, the head/base ratio of the medians, the head's wins out of the
 pairs (ties count for neither side), a two-sided sign-test p over the
 untied pairs, and each side's interquartile range relative to its median
@@ -27,6 +29,8 @@ next to the metric's bound. The verdict is:
   regressed   the head's median is worse than the base's by more than the
               bound (and the spread is within it);
   unchanged   none of the above.
+
+Per-layer metrics carry no bound, so they read better, worse or unchanged.
 
 Exit: 0 when every run produced a result, 1 otherwise, 2 on bad arguments.
 """
@@ -68,8 +72,10 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-def compare(base: list[float], head: list[float], better: str, bound: float) -> dict:
-    """Summarize one metric over paired runs (base[i] and head[i] are pair i)."""
+def compare(base: list[float], head: list[float], better: str, bound: float | None) -> dict:
+    """Summarize one metric over paired runs (base[i] and head[i] are pair i).
+
+    A metric without a bound (None) is never unresolved or regressed."""
     if len(base) != len(head) or not base:
         raise ValueError("compare needs one base and one head value per pair")
     if better not in ("higher", "lower"):
@@ -83,7 +89,7 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
         q1, q3 = quantile(values, 0.25), quantile(values, 0.75)
         rel = (q3 - q1) / abs(med) if med != 0 else math.inf
         return {"runs": values, "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
-                "iqr_rel": rel, "iqr_within_bound": rel <= bound}
+                "iqr_rel": rel, "iqr_within_bound": bound is None or rel <= bound}
 
     b, h = side(base), side(head)
     ratio = h["median"] / b["median"] if b["median"] != 0 else math.inf
@@ -95,7 +101,7 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
         verdict = "better"
     elif losses >= needed and -gain > b["iqr"]:
         verdict = "worse"
-    elif b["median"] != 0 and -gain / abs(b["median"]) > bound:
+    elif bound is not None and b["median"] != 0 and -gain / abs(b["median"]) > bound:
         verdict = "regressed"
     else:
         verdict = "unchanged"
@@ -142,6 +148,24 @@ def value(result: dict, name: str) -> float:
     return result["metrics"][name]["value"]
 
 
+def compared_metrics(benchmark: dict, trace: int, runs: list[dict]) -> list[dict]:
+    """The metrics to compare, as {name, better, bound}: BENCHMARK.json's
+    end-to-end ones, or with --trace 1 its per-layer ones (bound None) that
+    every run reported."""
+    if not trace:
+        return benchmark["end_to_end"]
+    return [{"name": m["name"], "better": m["better"], "bound": None}
+            for m in benchmark["per_layer"]
+            if all(m["name"] in r["metrics"] for r in runs)]
+
+
+def summarize(metrics: list[dict], base: list[dict], head: list[dict]) -> dict:
+    """compare() for each metric over the paired run results."""
+    return {m["name"]: compare([value(r, m["name"]) for r in base],
+                               [value(r, m["name"]) for r in head], m["better"], m["bound"])
+            for m in metrics}
+
+
 def run_once(tree: Path, args: argparse.Namespace) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", repr(args.seconds),
@@ -172,7 +196,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     trees = {"base": make_tree(args.base, "base", args.work_dir),
              "head": make_tree(args.head, "head", args.work_dir)}
@@ -194,7 +218,8 @@ def main() -> int:
             runs[side].append(pair[side])
         summary = ", ".join(
             f"{m['name']} {value(pair['base'], m['name']):.4g} -> "
-            f"{value(pair['head'], m['name']):.4g}" for m in metrics)
+            f"{value(pair['head'], m['name']):.4g}"
+            for m in compared_metrics(benchmark, args.trace, [pair["base"], pair["head"]]))
         log(f"pair {i + 1}/{args.pairs} ({order[0]} first): {summary}")
 
     report = {"workload": args.workload, "base": args.base, "head": args.head,
@@ -202,11 +227,8 @@ def main() -> int:
               "pairs_requested": args.pairs, "pairs": len(runs["base"]),
               "failed_pairs": failed_runs, "metrics": {}}
     if runs["base"]:
-        for m in metrics:
-            name = m["name"]
-            report["metrics"][name] = compare(
-                [value(r, name) for r in runs["base"]],
-                [value(r, name) for r in runs["head"]], m["better"], m["bound"])
+        metrics = compared_metrics(benchmark, args.trace, runs["base"] + runs["head"])
+        report["metrics"] = summarize(metrics, runs["base"], runs["head"])
         for side in ("base", "head"):
             report[f"{side}_ops_failed"] = sum(r["failed"] for r in runs[side])
             report[f"{side}_ops_attempted"] = sum(r["attempted"] for r in runs[side])

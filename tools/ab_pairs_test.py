@@ -6,12 +6,13 @@ Exit: 0 all expectations hold, 1 otherwise.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_pairs import compare, quantile, sign_test_p  # noqa: E402
+from ab_pairs import compare, compared_metrics, quantile, sign_test_p, summarize  # noqa: E402
 
 failures: list[str] = []
 
@@ -88,6 +89,37 @@ for bad in (([], []), ([1.0], [1.0, 2.0])):
         failures.append(f"compare{bad} should raise")
     except ValueError:
         pass
+
+# A traced run reports per-layer metrics only (no updates_per_s). They are
+# compared instead, each one that every run reported, without a bound: a
+# wide spread is not 'unresolved', and a large loss is 'worse', not
+# 'regressed'.
+benchmark = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+
+
+def traced(run_s: float, events: float, extra: bool) -> dict:
+    m = {"fl.run_s": {"value": run_s, "unit": "s"}, "sim.events": {"value": events,
+                                                                   "unit": "count"}}
+    if extra:
+        m["rpc.leases"] = {"value": 5.0, "unit": "count"}
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": m}
+
+
+traced_base = [traced(1.0 + 0.5 * (i % 2), 100.0, True) for i in range(10)]
+traced_head = [traced(3.0 + 0.5 * (i % 2), 100.0, i != 3) for i in range(10)]
+names = [m["name"] for m in compared_metrics(benchmark, 1, traced_base + traced_head)]
+expect(names == ["sim.events", "fl.run_s"],
+       f"traced mode compares the per-layer metrics all runs report, got {names}")
+expect([m["name"] for m in compared_metrics(benchmark, 0, [])] ==
+       [m["name"] for m in benchmark["end_to_end"]], "plain mode compares end-to-end metrics")
+report = summarize(compared_metrics(benchmark, 1, traced_base + traced_head),
+                   traced_base, traced_head)
+expect(report["fl.run_s"]["verdict"] == "worse",
+       f"3x slower per-layer time is 'worse', got {report['fl.run_s']['verdict']}")
+expect(report["fl.run_s"]["bound"] is None, "per-layer metrics carry no bound")
+expect(report["sim.events"]["verdict"] == "unchanged", "equal counts are 'unchanged'")
+c = compare(wide, [v + 10.0 for v in wide], "higher", None)
+expect(c["verdict"] != "unresolved", "an unbounded metric is never 'unresolved'")
 
 if failures:
     for f in failures:

@@ -6,42 +6,31 @@
 // and asserts the resumed artifact matches the reference bit-for-bit
 // (tools/flint_compare.py at 0% tolerance, plus a parameter fingerprint).
 //
-// Flags:
-//   --algo fedavg|fedbuff   runner under test (default fedbuff)
-//   --rounds N              aggregation rounds (default 8)
-//   --threads N             training threads; results are --threads-invariant
-//   --seed N                run seed (default 7)
-//   --checkpoint-dir DIR    enable checkpoints into DIR
-//   --checkpoint-every N    checkpoint cadence in rounds (default 2)
-//   --resume                restore from the newest checkpoint in DIR
-//   --abort-after-round N   _Exit(137) after round N completes (0 = never)
-//   --faults                inject a deterministic executor-outage plan
-//   --artifact-out PATH     write the run artifact JSON here
-//   --transport MODE        inprocess|loopback|unix|tcp rpc execution (§14)
-//   --rpc-executors N       executor count for rpc transports (default 2)
-//   --executor-bin PATH     flint_executor binary (unix/tcp)
-//   --rpc-dir DIR           directory for the Unix socket (default ".")
-//   --kill-executor-after-round N   SIGKILL executor child 0 after round N
-//                           (unix/tcp; the run must still finish
-//                           bit-identical — scripts/rpc_fault_test.sh)
+// Flags (the usage line lists them all): --algo fedavg|fedbuff (default
+// fedbuff), --rounds N (8), --seed N (7) and --faults (a deterministic
+// executor-outage plan) set the study and its fingerprint. Checkpoints go
+// every 2 rounds by default. --abort-after-round N _Exit(137)s after round N
+// completes (0 = never); --kill-executor-after-round N SIGKILLs executor
+// child 0 after round N on unix/tcp, and the run must still finish
+// bit-identical (scripts/rpc_fault_test.sh). The shared threads, checkpoint,
+// artifact and rpc flags are as in README "Command-line flags".
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "flint/core/run_artifact.h"
+#include "flint/core/run_spec.h"
 #include "flint/data/synthetic_tasks.h"
 #include "flint/device/availability.h"
 #include "flint/device/device_catalog.h"
 #include "flint/device/session_generator.h"
 #include "flint/fl/fedavg.h"
 #include "flint/fl/fedbuff.h"
-#include "flint/fl/rpc_runtime.h"
 #include "flint/net/bandwidth_model.h"
 #include "flint/sim/fault_injector.h"
-#include "flint/store/checkpoint.h"
 #include "flint/util/rng.h"
 
 namespace {
@@ -49,6 +38,7 @@ namespace {
 // Exact 64-bit fingerprint of the final parameters, split into two 32-bit
 // halves so the artifact's double-valued scalars carry it losslessly.
 std::uint64_t param_fingerprint(const std::vector<float>& params) {
+  static_assert(std::is_trivially_copyable_v<float>);
   std::string bytes(reinterpret_cast<const char*>(params.data()),
                     params.size() * sizeof(float));
   return flint::core::fingerprint64(bytes);
@@ -61,63 +51,25 @@ int main(int argc, char** argv) {
 
   std::string algo = "fedbuff";
   std::uint64_t rounds = 8;
-  std::size_t threads = 1;
   std::uint64_t seed = 7;
-  std::string checkpoint_dir;
-  std::uint64_t checkpoint_every = 2;
-  bool resume = false;
-  std::uint64_t abort_after_round = 0;
   bool faults = false;
-  std::string artifact_out;
-  std::string transport = "inprocess";
-  std::size_t rpc_executors = 2;
-  std::string executor_bin;
-  std::string rpc_dir = ".";
+  std::uint64_t abort_after_round = 0;
   std::uint64_t kill_executor_after_round = 0;
-  for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value("--algo")) {
-      algo = v;
-    } else if (const char* v = value("--rounds")) {
-      rounds = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--threads")) {
-      threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value("--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--checkpoint-dir")) {
-      checkpoint_dir = v;
-    } else if (const char* v = value("--checkpoint-every")) {
-      checkpoint_every = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (const char* v = value("--abort-after-round")) {
-      abort_after_round = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      faults = true;
-    } else if (const char* v = value("--artifact-out")) {
-      artifact_out = v;
-    } else if (const char* v = value("--transport")) {
-      transport = v;
-    } else if (const char* v = value("--rpc-executors")) {
-      rpc_executors = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value("--executor-bin")) {
-      executor_bin = v;
-    } else if (const char* v = value("--rpc-dir")) {
-      rpc_dir = v;
-    } else if (const char* v = value("--kill-executor-after-round")) {
-      kill_executor_after_round = std::strtoull(v, nullptr, 10);
-    } else {
-      std::cerr << "crash_resume_driver: unknown or incomplete flag " << argv[i] << "\n";
-      return 2;
-    }
-  }
-  if ((algo != "fedavg" && algo != "fedbuff") || threads == 0 || rounds == 0) {
-    std::cerr << "crash_resume_driver: bad --algo/--threads/--rounds\n";
-    return 2;
-  }
+  // The crash/resume lineage and the execution mode stay out of the
+  // fingerprint: the compare step diffs a resumed or rpc run against a fresh one.
+  core::RunSpec spec("crash_resume_driver:");
+  spec.flag("algo", core::FlagKind::kResult, &algo, "fedavg|fedbuff")
+      .flag("rounds", core::FlagKind::kResult, &rounds, 1)
+      .flag("seed", core::FlagKind::kResult, &seed, 0)
+      .flag("faults", core::FlagKind::kResult, &faults)
+      .flag("abort-after-round", core::FlagKind::kWallTime, &abort_after_round, 0)
+      .flag("kill-executor-after-round", core::FlagKind::kWallTime,
+            &kill_executor_after_round, 0)
+      .with_threads()
+      .with_checkpoints(2)
+      .with_artifact("")
+      .with_rpc();
+  spec.parse_or_exit(argc, argv);
 
   // Deterministic synthetic study: everything below derives from --seed, so
   // reference / crashed / resumed invocations see the same world.
@@ -144,7 +96,7 @@ int main(int argc, char** argv) {
 
   net::PufferLikeBandwidthModel bandwidth;
   fl::RunInputs inputs;
-  inputs.threads = threads;
+  inputs.threads = spec.threads;
   inputs.dataset = &task.train;
   inputs.dense_dim = task.batch_dense_dim();
   inputs.model_template = model.get();
@@ -170,23 +122,11 @@ int main(int argc, char** argv) {
     inputs.outages = sim::plan_faults(inputs.leader.executor_count, fault_cfg, fault_rng);
   }
 
-  std::unique_ptr<store::CheckpointStore> checkpoints;
-  if (!checkpoint_dir.empty()) {
-    checkpoints = std::make_unique<store::CheckpointStore>(checkpoint_dir);
-    inputs.leader.checkpoint_every_rounds = checkpoint_every;
-    inputs.leader.checkpoint_store = checkpoints.get();
-    if (resume) inputs.resume_from = checkpoints.get();
-  }
+  auto checkpoints = spec.open_checkpoints(inputs);
   // Rpc execution mode (DESIGN.md §14): leases to loopback workers or
-  // spawned executor children instead of in-process training. Constructed
+  // spawned executor children instead of in-process training. Started
   // before the hooks below so the kill hook can reach the child processes.
-  fl::RpcRuntimeConfig rpc_cfg;
-  rpc_cfg.kind = fl::parse_transport(transport);
-  rpc_cfg.executors = rpc_executors;
-  rpc_cfg.executor_bin = executor_bin;
-  rpc_cfg.socket_dir = rpc_dir;
-  fl::RpcRuntime rpc_runtime(rpc_cfg, inputs);
-  inputs.rpc_leader = rpc_runtime.leader();
+  auto rpc_runtime = spec.start_rpc(inputs);
 
   if (abort_after_round > 0) {
     inputs.round_hook = [abort_after_round](std::uint64_t round) {
@@ -198,7 +138,8 @@ int main(int argc, char** argv) {
         std::_Exit(137);
       }
     };
-  } else if (kill_executor_after_round > 0 && rpc_runtime.process_count() > 0) {
+  } else if (kill_executor_after_round > 0 && rpc_runtime != nullptr &&
+             rpc_runtime->process_count() > 0) {
     // Executor-fault injection: SIGKILL child 0 at a known round. The leader
     // must detect the loss (EOF) and re-dispatch its outstanding leases to
     // the survivors; the final artifact must stay bit-identical.
@@ -210,7 +151,7 @@ int main(int argc, char** argv) {
       std::cout << "crash_resume_driver: SIGKILLing executor 0 after round " << round
                 << "\n"
                 << std::flush;
-      rpc_runtime.process(0).kill();
+      rpc_runtime->process(0).kill();
     };
   }
 
@@ -238,22 +179,17 @@ int main(int argc, char** argv) {
             << " resume_count=" << result.resume_count << " param_fp=" << std::hex << fp
             << std::dec << "\n";
 
-  if (!artifact_out.empty()) {
+  if (!spec.artifact_out.empty()) {
     core::RunArtifactInputs artifact;
     artifact.run = &result;
     artifact.name = "crash_resume_driver";
     artifact.metric_name = task.metric_name();
-    // --threads and the crash/resume lineage must not change the config
-    // fingerprint: the compare step diffs a resumed run against a fresh one.
-    artifact.config_text = "crash_resume_driver: algo=" + algo +
-                           " rounds=" + std::to_string(rounds) +
-                           " seed=" + std::to_string(seed) +
-                           (faults ? " faults=on" : " faults=off");
+    artifact.config_text = spec.config_text();
     artifact.scalars = {
         {"param_fingerprint_lo", static_cast<double>(fp & 0xFFFFFFFFull)},
         {"param_fingerprint_hi", static_cast<double>(fp >> 32)},
     };
-    core::write_run_artifact(artifact_out, artifact);
+    core::write_run_artifact(spec.artifact_out, artifact);
   }
   return 0;
 }

@@ -3,16 +3,10 @@
 // with the same compute_client_update the in-process paths run, until the
 // leader sends Shutdown or the connection drops.
 //
-// Flags:
-//   --connect-unix PATH     connect to a Unix-domain socket leader
-//   --connect-tcp HOST      connect over TCP (requires --port)
-//   --port N                TCP port
-//   --name NAME             executor name reported at registration
-//   --kernels SPEC          pin the kernel path (auto|scalar|avx2|neon);
-//                           leaders forward their own spec so the fleet
-//                           shares one set of numerics
-//   --trace-out PATH        write this process's Chrome trace on exit
-//   --metrics-out PATH      write this process's metrics JSONL on exit
+// Flags: --connect-unix PATH, or --connect-tcp HOST --port N; --name NAME
+// (reported at registration); --kernels SPEC (leaders forward their own, so
+// the fleet shares one set of numerics); --trace-out / --metrics-out PATH
+// (this process's Chrome trace and metrics JSONL, written on exit).
 //
 // The process always runs with metrics enabled so its counters ship to the
 // leader on each heartbeat (DESIGN.md §15); tracing turns on only with
@@ -26,13 +20,12 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "flint/core/run_spec.h"
 #include "flint/fl/remote_executor.h"
-#include "flint/ml/kernels/kernels.h"
 #include "flint/obs/telemetry.h"
 #include "flint/rpc/executor_worker.h"
 #include "flint/rpc/transport.h"
@@ -75,53 +68,23 @@ int main(int argc, char** argv) {
   std::string tcp_host;
   std::uint16_t tcp_port = 0;
   std::string name = "executor";
-  std::string kernels_spec;
-  std::string trace_out;
-  std::string metrics_out;
-  for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value("--connect-unix")) {
-      unix_path = v;
-    } else if (const char* v = value("--connect-tcp")) {
-      tcp_host = v;
-    } else if (const char* v = value("--port")) {
-      tcp_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value("--name")) {
-      name = v;
-    } else if (const char* v = value("--kernels")) {
-      kernels_spec = v;
-    } else if (const char* v = value("--trace-out")) {
-      trace_out = v;
-    } else if (const char* v = value("--metrics-out")) {
-      metrics_out = v;
-    } else {
-      std::cerr << "flint_executor: unknown or incomplete flag " << argv[i] << "\n";
-      return 2;
-    }
-  }
+  flint::core::RunSpec spec("flint_executor");
+  spec.flag("connect-unix", flint::core::FlagKind::kWallTime, &unix_path, "PATH")
+      .flag("connect-tcp", flint::core::FlagKind::kWallTime, &tcp_host, "HOST")
+      .flag("port", flint::core::FlagKind::kWallTime, &tcp_port, 1)
+      .flag("name", flint::core::FlagKind::kWallTime, &name, "NAME")
+      .with_kernels()
+      .with_telemetry(/*status=*/false);
+  spec.parse_or_exit(argc, argv);
   if (unix_path.empty() && (tcp_host.empty() || tcp_port == 0)) {
     std::cerr << "flint_executor: need --connect-unix PATH or --connect-tcp HOST --port N\n";
     return 2;
   }
-  if (!kernels_spec.empty()) {
-    try {
-      flint::ml::kernels::set_path(kernels_spec);
-    } catch (const flint::util::CheckError& e) {
-      std::cerr << "flint_executor: " << e.what() << "\n";
-      return 2;
-    }
-  }
 
   // Metrics always on: the executor's registry ships to the leader on every
   // heartbeat. Tracing costs memory per span, so it gates on --trace-out.
-  flint::obs::TelemetryConfig tc;
+  flint::obs::TelemetryConfig tc = spec.telemetry;
   tc.metrics_enabled = true;
-  tc.tracing_enabled = !trace_out.empty();
-  tc.trace_out = trace_out;
-  tc.metrics_out = metrics_out;
   flint::obs::Telemetry telemetry(std::move(tc));
   flint::obs::ScopedTelemetry scoped(&telemetry);
   g_atexit_telemetry = &telemetry;

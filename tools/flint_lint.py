@@ -53,6 +53,12 @@ in the file):
                   as it is, and every time-ordered queue there is the one
                   sim::TimeHeap, so the (time, seq) tie-break a resumed run
                   replays lives in one place.
+  argv-parse      command-line flags are parsed only by core::RunSpec
+                  (src/flint/core/run_spec.cpp): no `argv[...]` indexing
+                  and no `strcmp(argv...)` anywhere else, so every binary
+                  rejects a bad flag the same way and only declared result
+                  flags reach the config fingerprint. perfbench/ (the
+                  benchmark) keeps its own parser.
   simd            raw SIMD intrinsics (<immintrin.h>/<arm_neon.h> includes,
                   _mm*/v*q_f32 calls) are confined to src/flint/ml/kernels/ —
                   everything else calls through the dispatched KernelTable so
@@ -106,6 +112,8 @@ SIMD_HEADER_RE = re.compile(r"#\s*include\s*<(immintrin|x86intrin|emmintrin|arm_
 SIMD_INTRINSIC_RE = re.compile(r"\b_mm\d*_\w+\s*\(|\bv\w+q_(f|s|u)(8|16|32|64)\s*\(")
 # sim-events: closures and a second heap type stay out of src/flint/sim/.
 SIM_EVENTS_RE = re.compile(r"\bstd::(function|priority_queue)\b")
+# argv-parse: hand-rolled flag parsing outside core/run_spec.cpp.
+ARGV_PARSE_RE = re.compile(r"\bargv\s*\[|\bstrn?cmp\s*\(\s*argv\b")
 # byte-codec: hand-rolled offset reads outside the codec itself.
 READ_POD_RE = re.compile(r"\bread_pod\s*[<(]")
 
@@ -149,6 +157,8 @@ def lint_file(path: Path) -> list[Finding]:
     in_bytes_h = path.name == "bytes.h" and path.parent.name == "util"
     in_sim = "src/flint/sim/" in path.as_posix()
     is_header = path.suffix in (".h", ".hpp")
+    parses_argv = path.as_posix().endswith("src/flint/core/run_spec.cpp") \
+        or "perfbench" in path.parts
 
     # pragma-once — against stripped text, so a commented-out
     # `// #pragma once` does not satisfy the rule.
@@ -209,6 +219,14 @@ def lint_file(path: Path) -> list[Finding]:
                         "read_pod outside util/bytes.h; describe the record as a "
                         "field walk over util::ByteReader / util::ByteWriter"))
 
+        # argv-parse
+        if not parses_argv and ARGV_PARSE_RE.search(line) \
+                and not suppressed("argv-parse", lines, idx):
+            findings.append(
+                Finding(path, lineno, "argv-parse",
+                        "hand-rolled argv parsing; declare the flag on a "
+                        "core::RunSpec and read the variable it binds"))
+
         # sim-events
         if in_sim and SIM_EVENTS_RE.search(line) and not suppressed("sim-events", lines, idx):
             findings.append(
@@ -260,8 +278,8 @@ def lint_file(path: Path) -> list[Finding]:
             findings.append(
                 Finding(path, 1, "bench-artifact",
                         "bench binary never emits a run artifact; declare "
-                        "bench::BenchArtifact(argc, argv, \"<name>\") in main "
-                        "(see bench_helpers.h)"))
+                        "bench::BenchArtifact(spec, argc, argv, \"<name>\") in "
+                        "main (see bench_helpers.h)"))
 
     return findings
 
